@@ -13,12 +13,13 @@
 // Each cell k would ideally contribute i_k; the finite wire resistance lifts
 // the internal source-line nodes above ground, reducing the cell's effective
 // drive.  The sensed current is the current through the last wire segment.
+//
+// The nodal conductance matrix is tridiagonal, so the ladder is solved
+// directly (Thomas algorithm) in O(n), exact to rounding.
 #pragma once
 
 #include <span>
 #include <vector>
-
-#include "linalg/linear_solver.hpp"
 
 namespace fecim::circuit {
 
@@ -27,12 +28,11 @@ namespace fecim::circuit {
 /// k, cells ordered from the far end toward the sense amplifier;
 /// `r_segment` is the wire resistance between adjacent cells (ohm).
 double sense_column_current(std::span<const double> cell_currents,
-                            double v_drive, double r_segment,
-                            const linalg::SolveOptions& options = {});
+                            double v_drive, double r_segment);
 
 /// Node voltages of the same network (for tests and IR-drop inspection).
+/// Inputs must be finite, with cell currents >= 0 and v_drive, r_segment > 0.
 std::vector<double> column_node_voltages(std::span<const double> cell_currents,
-                                         double v_drive, double r_segment,
-                                         const linalg::SolveOptions& options = {});
+                                         double v_drive, double r_segment);
 
 }  // namespace fecim::circuit

@@ -69,16 +69,6 @@ double CsrMatrix::max_abs_value() const noexcept {
   return best;
 }
 
-DenseMatrix<double> CsrMatrix::to_dense() const {
-  DenseMatrix<double> dense(rows(), cols_);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    const auto cols = row_cols(r);
-    const auto vals = row_values(r);
-    for (std::size_t k = 0; k < cols.size(); ++k) dense(r, cols[k]) = vals[k];
-  }
-  return dense;
-}
-
 void CsrMatrix::Builder::add(std::size_t r, std::size_t c, double value) {
   FECIM_EXPECTS(r < rows_ && c < cols_);
   triplets_.push_back({static_cast<std::uint32_t>(r),

@@ -11,8 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "linalg/dense_matrix.hpp"
-
 namespace fecim::linalg {
 
 class CsrMatrix {
@@ -48,8 +46,6 @@ class CsrMatrix {
 
   /// Largest |value|; 0 for an empty matrix.
   double max_abs_value() const noexcept;
-
-  DenseMatrix<double> to_dense() const;
 
   class Builder {
    public:
