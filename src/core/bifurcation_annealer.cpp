@@ -11,15 +11,6 @@ namespace fecim::core {
 
 namespace {
 
-crossbar::CrossbarMapping make_mapping(const ising::IsingModel& model,
-                                       const SbConfig& config) {
-  const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                               config.mapping.bits);
-  return crossbar::CrossbarMapping(model.num_spins(),
-                                   quantized.has_negative() ? 2 : 1,
-                                   config.mapping);
-}
-
 /// Standard SB coupling normalization c0 = 0.5 / (sigma * sqrt(n)) with
 /// sigma the rms off-diagonal coupling.  J stores both triangles, so the
 /// stored entries are exactly the n(n-1) ordered off-diagonal pairs.
@@ -39,10 +30,18 @@ double calibrate_c0(const ising::IsingModel& model) {
 
 BifurcationAnnealer::BifurcationAnnealer(
     std::shared_ptr<const ising::IsingModel> model, SbConfig config)
+    : BifurcationAnnealer(model, config,
+                          crossbar::QuantizedCouplings(model->couplings(),
+                                                       config.mapping.bits)) {}
+
+BifurcationAnnealer::BifurcationAnnealer(
+    std::shared_ptr<const ising::IsingModel> model, SbConfig config,
+    const crossbar::QuantizedCouplings& quantized)
     : model_(std::move(model)),
       config_(std::move(config)),
       schedule_({config_.a0, config_.dt, config_.steps}),
-      mapping_(make_mapping(*model_, config_)) {
+      mapping_(model_->num_spins(), quantized.has_negative() ? 2 : 1,
+               config_.mapping) {
   FECIM_EXPECTS(model_ != nullptr);
   FECIM_EXPECTS(!model_->has_fields());  // fold fields via with_ancilla()
   FECIM_EXPECTS(model_->num_flippable() >= 1);
@@ -51,8 +50,6 @@ BifurcationAnnealer::BifurcationAnnealer(
   c0_ = config_.c0 > 0.0 ? config_.c0 : calibrate_c0(*model_);
 
   if (config_.engine == SbConfig::EngineKind::kAnalog) {
-    const crossbar::QuantizedCouplings quantized(model_->couplings(),
-                                                 config_.mapping.bits);
     if (config_.array_cache) {
       array_ = config_.array_cache->get_or_build(quantized, mapping_,
                                                  config_.device,

@@ -109,6 +109,13 @@ class BifurcationAnnealer final : public Annealer {
   }
 
  private:
+  /// `quantized` is the model's couplings at config.mapping.bits, built
+  /// once by the public constructor: it sets the mapping's plane count and
+  /// programs the analog engine's array.
+  BifurcationAnnealer(std::shared_ptr<const ising::IsingModel> model,
+                      SbConfig config,
+                      const crossbar::QuantizedCouplings& quantized);
+
   std::shared_ptr<const ising::IsingModel> model_;
   SbConfig config_;
   SbSchedule schedule_;

@@ -8,21 +8,15 @@
 
 namespace fecim::core {
 
-namespace {
-
-crossbar::CrossbarMapping make_mapping(const ising::IsingModel& model,
-                                       const InSituConfig& config) {
-  const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                               config.mapping.bits);
-  return crossbar::CrossbarMapping(model.num_spins(),
-                                   quantized.has_negative() ? 2 : 1,
-                                   config.mapping);
-}
-
-}  // namespace
-
 InSituCimAnnealer::InSituCimAnnealer(
     std::shared_ptr<const ising::IsingModel> model, InSituConfig config)
+    : InSituCimAnnealer(model, config,
+                        crossbar::QuantizedCouplings(model->couplings(),
+                                                     config.mapping.bits)) {}
+
+InSituCimAnnealer::InSituCimAnnealer(
+    std::shared_ptr<const ising::IsingModel> model, InSituConfig config,
+    const crossbar::QuantizedCouplings& quantized)
     : model_(std::move(model)),
       config_(std::move(config)),
       schedule_([&] {
@@ -30,7 +24,8 @@ InSituCimAnnealer::InSituCimAnnealer(
         schedule_config.total_iterations = config_.iterations;
         return BgAnnealingSchedule(schedule_config);
       }()),
-      mapping_(make_mapping(*model_, config_)) {
+      mapping_(model_->num_spins(), quantized.has_negative() ? 2 : 1,
+               config_.mapping) {
   FECIM_EXPECTS(model_ != nullptr);
   FECIM_EXPECTS(!model_->has_fields());  // fold fields via with_ancilla()
   FECIM_EXPECTS(config_.flips_per_iteration >= 1);
@@ -40,8 +35,6 @@ InSituCimAnnealer::InSituCimAnnealer(
   FECIM_EXPECTS(config_.schedule.dac.v_max <= config_.device.vbg_max + 1e-12);
 
   if (config_.engine == InSituConfig::EngineKind::kAnalog) {
-    const crossbar::QuantizedCouplings quantized(model_->couplings(),
-                                                 config_.mapping.bits);
     if (config_.array_cache) {
       // Digest-keyed sharing: identical (couplings, mapping, device,
       // variation, seed, tiles) across annealers resolve to one programmed

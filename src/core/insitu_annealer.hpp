@@ -115,6 +115,13 @@ class InSituCimAnnealer final : public Annealer {
   }
 
  private:
+  /// `quantized` is the model's couplings at config.mapping.bits, built
+  /// once by the public constructor: it sets the mapping's plane count and
+  /// programs the analog engine's array.
+  InSituCimAnnealer(std::shared_ptr<const ising::IsingModel> model,
+                    InSituConfig config,
+                    const crossbar::QuantizedCouplings& quantized);
+
   /// Per-run scratch, allocated once at the top of run() so the annealing
   /// inner loop performs zero heap allocations (pinned by the counting
   /// allocator test in tests/test_perf_equivalence.cpp).

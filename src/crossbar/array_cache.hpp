@@ -16,7 +16,12 @@
 // Concurrency: get_or_build() publishes an in-flight build as a
 // shared_future before releasing the lock, so racing requests for the same
 // digest wait on the winner's build instead of duplicating it -- each
-// distinct array is programmed exactly once per residency.  Eviction is
+// distinct array is programmed exactly once per residency.  A build
+// programs large arrays on the util::parallel_for pool, and top-level
+// parallel_for calls serialize on one mutex, so a pool task must never
+// wait on a build that a thread outside the pool started: that build may
+// be queued behind the task's own pool job.  (A build started inside a pool
+// task runs inline and is safe to wait on.)  Eviction is
 // LRU over resident entries, bounded by an approximate byte budget
 // (ProgrammedArray::approx_bytes()); the most recently inserted entry is
 // never evicted, so a single array larger than the budget still serves.

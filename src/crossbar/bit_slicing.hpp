@@ -35,6 +35,10 @@ class QuantizedCouplings {
   /// the stored entries of logical column j as parallel spans.
   std::span<const std::uint32_t> column_rows(std::size_t j) const;
   std::span<const std::int32_t> column_values(std::size_t j) const;
+  /// Every stored signed magnitude in column-major entry order; the index
+  /// into this span is the global entry index the programmed array keys
+  /// its cells by.
+  std::span<const std::int32_t> magnitudes() const noexcept { return values_; }
 
   /// Dequantized matrix (for error analysis and the ideal engine on
   /// quantized weights).

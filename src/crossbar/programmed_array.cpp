@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace fecim::crossbar {
 
@@ -24,56 +25,88 @@ ProgrammedArray::ProgrammedArray(const QuantizedCouplings& couplings,
   FECIM_EXPECTS(mapping_.bits() == couplings_.bits());
 
   const auto bits = static_cast<std::size_t>(couplings_.bits());
-  multipliers_.assign(couplings_.nonzeros() * bits, 1.0F);
+  const std::size_t entries = couplings_.nonzeros();
+  multipliers_.assign(entries * bits, 1.0F);
 
-  if (!variation_.ideal()) {
-    // (absent-bit slots are zeroed below, after variation sampling, so the
-    // per-cell noise-stream indexing stays a pure function of cell index)
-    // Counter-keyed programming variation: cell c's fault roll and V_TH
-    // offset are draws at index c of the kCellFault / kCellVth streams, so
-    // a cell's programmed state is independent of array size and sampling
-    // order (and reproducible in isolation for debugging).  The tile shape
-    // never enters the cell index, so re-tiling an array does not reprogram
-    // it: the same seed yields the same cells for every TileShape.
-    const util::NoiseStream fault_stream(seed, util::stream_site::kCellFault);
-    const util::NoiseStream vth_stream(seed, util::stream_site::kCellVth);
-    // Subthreshold translation of a V_TH offset into a current factor:
-    // I ~ exp(-dVth / (n Vt)).
-    const double v_slope = device_params_.transistor.slope_factor *
-                           device_params_.transistor.thermal_voltage;
-    for (std::size_t cell = 0; cell < multipliers_.size(); ++cell) {
-      const double roll = fault_stream.uniform01(cell);
-      if (roll < variation_.stuck_off_rate) {
-        multipliers_[cell] = 0.0F;
-        ++faulted_;
-        continue;
-      }
-      if (roll < variation_.stuck_off_rate + variation_.stuck_on_rate) {
-        multipliers_[cell] = 1.0F;
-        ++faulted_;
-        continue;
-      }
-      if (variation_.vth_sigma > 0.0) {
-        const double dvth = vth_stream.normal(cell, 0.0, variation_.vth_sigma);
-        multipliers_[cell] = static_cast<float>(std::exp(-dvth / v_slope));
-      }
-    }
-  }
+  // Counter-keyed programming variation: bit cell c = entry * bits + bit
+  // takes its fault roll and V_TH offset from draws at index c of the
+  // kCellFault / kCellVth streams, so a cell's programmed state is
+  // independent of array size and sampling order (and reproducible in
+  // isolation for debugging).  The tile shape never enters the cell index,
+  // so re-tiling an array does not reprogram it: the same seed yields the
+  // same cells for every TileShape.
+  const util::NoiseStream fault_stream(seed, util::stream_site::kCellFault);
+  const util::NoiseStream vth_stream(seed, util::stream_site::kCellVth);
+  const double stuck_off = variation_.stuck_off_rate;
+  const double stuck_any = stuck_off + variation_.stuck_on_rate;
+  // A roll in [0, 1) never falls below a zero rate: skip the draw.
+  const bool roll_faults =
+      stuck_off > 0.0 || variation_.stuck_on_rate > 0.0;
+  const double vth_sigma = variation_.vth_sigma;
+  // Subthreshold translation of a V_TH offset into a current factor:
+  // I ~ exp(-dVth / (n Vt)).
+  const double v_slope = device_params_.transistor.slope_factor *
+                         device_params_.transistor.thermal_voltage;
+  const auto magnitudes = couplings_.magnitudes();
 
-  // Zero the multiplier slots of bits a cell does not store: the stochastic
-  // readout sweep can then accumulate every (cell, bit) unconditionally --
-  // absent bits contribute exact +0.0 -- which removes the per-bit presence
-  // branch from the hot loop and keeps it vectorizable.  bit_multiplier()
-  // and multipliers() therefore report 0 for absent bits.
-  for (std::size_t j = 0; j < couplings_.num_spins(); ++j) {
-    const auto view = column(j);
-    for (std::size_t k = 0; k < view.rows.size(); ++k) {
+  // Programs entries [first, last) and returns their faulted bit cells.
+  // The slots of bits a cell does not store are zeroed instead: the
+  // stochastic readout sweep can then accumulate every (cell, bit)
+  // unconditionally -- absent bits contribute exact +0.0 -- which removes
+  // the per-bit presence branch from the hot loop and keeps it
+  // vectorizable.  bit_multiplier() and multipliers() therefore report 0
+  // for absent bits, and absent bits are never counted as faulted.
+  const auto program = [&](std::size_t first, std::size_t last) {
+    std::size_t faults = 0;
+    for (std::size_t entry = first; entry < last; ++entry) {
       const auto abs_mag =
-          static_cast<std::uint32_t>(std::abs(view.magnitudes[k]));
-      float* entry_mults = multipliers_.data() + (view.first_entry + k) * bits;
-      for (std::size_t b = 0; b < bits; ++b)
-        if (!(abs_mag & (1u << b))) entry_mults[b] = 0.0F;
+          static_cast<std::uint32_t>(std::abs(magnitudes[entry]));
+      float* entry_mults = multipliers_.data() + entry * bits;
+      for (std::size_t b = 0; b < bits; ++b) {
+        if (!(abs_mag & (1u << b))) {
+          entry_mults[b] = 0.0F;
+          continue;
+        }
+        const std::size_t cell = entry * bits + b;
+        if (roll_faults) {
+          const double roll = fault_stream.uniform01(cell);
+          if (roll < stuck_off) {
+            entry_mults[b] = 0.0F;
+            ++faults;
+            continue;
+          }
+          if (roll < stuck_any) {
+            entry_mults[b] = 1.0F;
+            ++faults;
+            continue;
+          }
+        }
+        if (vth_sigma > 0.0) {
+          const double dvth = vth_stream.normal(cell, 0.0, vth_sigma);
+          entry_mults[b] = static_cast<float>(std::exp(-dvth / v_slope));
+        }
+      }
     }
+    return faults;
+  };
+
+  // Sampled arrays program in fixed chunks of whole entries, one pool task
+  // per chunk.  Every cell is a pure function of its index (PERF.md
+  // invariant 2) and the per-chunk fault counts sum exactly, so the result
+  // is identical for every thread count.  Arrays of one chunk run inline,
+  // and so do unsampled ones, whose loop only zeroes absent bits.
+  const std::size_t chunk_entries = kProgramChunkCells / bits;
+  const std::size_t chunks = (entries + chunk_entries - 1) / chunk_entries;
+  if (chunks <= 1 || !(roll_faults || vth_sigma > 0.0)) {
+    faulted_ = program(0, entries);
+  } else {
+    std::vector<std::size_t> chunk_faults(chunks);
+    util::parallel_for(chunks, [&](std::size_t c) {
+      const std::size_t first = c * chunk_entries;
+      chunk_faults[c] =
+          program(first, std::min(first + chunk_entries, entries));
+    });
+    for (const std::size_t faults : chunk_faults) faulted_ += faults;
   }
 
   build_column_cache();

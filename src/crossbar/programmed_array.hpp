@@ -1,5 +1,7 @@
 // The programmed DG FeFET crossbar: quantized couplings written into cells,
-// with per-cell variation sampled at programming time.
+// with per-cell variation sampled at programming time (in parallel chunks
+// for large arrays; every cell is a pure function of its index, so the
+// result is the same for every thread count).
 //
 // The array is stored sparsely (only cells whose magnitude bit is set
 // conduct, and Gset-class J matrices are sparse); per conducting bit-cell we
@@ -48,6 +50,14 @@ namespace fecim::crossbar {
 
 class ProgrammedArray {
  public:
+  /// Programming samples variation in chunks of whole entries spanning at
+  /// most this many bit cells, one util::parallel_for task per chunk.
+  /// Arrays of one chunk program inline: a pool worker waking from idle
+  /// starts tens of microseconds late at the median and milliseconds late
+  /// in the tail, which would dominate a small array's sampling (PERF.md,
+  /// "The setup path").
+  static constexpr std::size_t kProgramChunkCells = std::size_t{1} << 16;
+
   ProgrammedArray(const QuantizedCouplings& couplings,
                   const CrossbarMapping& mapping,
                   const device::DgFefetParams& device_params,
@@ -91,7 +101,8 @@ class ProgrammedArray {
   }
 
   /// Count of faulted bit-cells (stuck-off or stuck-on) among programmed
-  /// cells -- reported by robustness benches.
+  /// cells: only bits a cell's magnitude stores count, since absent bits
+  /// never conduct -- reported by robustness benches.
   std::size_t num_faulted_bit_cells() const noexcept { return faulted_; }
 
   // -------------------------------------------------------------------------

@@ -44,6 +44,12 @@ class Graph {
 
   /// Neighbors of v with weights, as parallel spans (valid until next
   /// add_edge).
+  ///
+  /// degree(), neighbors(), neighbor_weights() and is_bipartite() build the
+  /// CSR adjacency lazily on first use (and after any add_edge), writing
+  /// its mutable members from a const method.  They are therefore not safe
+  /// to call concurrently until the adjacency exists: call one of them once
+  /// before sharing the graph across threads.
   std::span<const std::uint32_t> neighbors(std::uint32_t v) const;
   std::span<const double> neighbor_weights(std::uint32_t v) const;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace fecim::problems {
 
@@ -93,12 +94,29 @@ double reference_cut(const Graph& graph, std::size_t restarts,
   if (all_positive && graph.is_bipartite()) return graph.total_weight();
 
   FECIM_EXPECTS(restarts > 0);
+  // Every start is drawn from the one sequential Rng up front, in restart
+  // order, so each descent is a pure function of its index: the descents
+  // may then run on the pool, each into its own slot, and the max over the
+  // slots is exact -- bit-identical to the serial loop for every thread
+  // count.
   util::Rng rng(seed);
-  double best = 0.0;
-  for (std::size_t r = 0; r < restarts; ++r) {
-    auto spins = ising::random_spins(graph.num_vertices(), rng);
-    best = std::max(best, local_search_1opt(graph, spins));
+  std::vector<ising::SpinVector> starts(restarts);
+  for (auto& spins : starts)
+    spins = ising::random_spins(graph.num_vertices(), rng);
+  std::vector<double> cuts(restarts);
+  const auto descend = [&](std::size_t r) {
+    cuts[r] = local_search_1opt(graph, starts[r]);
+  };
+  if (graph.num_edges() * restarts < kReferenceParallelEdgeRestarts) {
+    for (std::size_t r = 0; r < restarts; ++r) descend(r);
+  } else {
+    // The const accessors build the adjacency lazily; build it before the
+    // descents share the graph across threads.
+    graph.neighbors(0);
+    util::parallel_for(restarts, descend);
   }
+  double best = 0.0;
+  for (const double cut : cuts) best = std::max(best, cut);
   return best;
 }
 

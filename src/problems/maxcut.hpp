@@ -37,9 +37,18 @@ ExactCut brute_force_max_cut(const Graph& graph);
 double local_search_1opt(const Graph& graph, ising::SpinVector& spins,
                          std::size_t max_passes = 200);
 
+/// reference_cut runs its descents on the util::parallel_for pool from this
+/// many edge-restarts (num_edges * restarts) up, and inline below it: a pool
+/// worker waking from idle starts tens of microseconds late at the median
+/// and milliseconds late in the tail, which would dominate the search on
+/// small instances (PERF.md, "The setup path").
+inline constexpr std::size_t kReferenceParallelEdgeRestarts =
+    std::size_t{1} << 19;
+
 /// Best-known cut proxy for instances too large to solve exactly: the best
 /// of `restarts` random-start 1-opt descents, or the certified optimum for
 /// bipartite unit-weight graphs (toroidal family) where max cut == |E|.
+/// The result is identical for every thread count.
 double reference_cut(const Graph& graph, std::size_t restarts,
                      std::uint64_t seed);
 

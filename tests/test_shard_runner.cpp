@@ -409,14 +409,22 @@ TEST(ShardRunner, ResumeUnionsMainAndShardJournals) {
   config.workers = 0;
   const auto baseline = core::run_campaign(*annealer, problem, config);
 
-  std::vector<std::string> run_lines;
+  // Records land in completion order, which a loaded host permutes: index
+  // them by run number.
+  std::vector<std::string> run_lines(config.runs);
+  std::size_t journaled = 0;
   {
     std::ifstream in(journal);
     std::string line;
-    while (std::getline(in, line))
-      if (line.rfind("run ", 0) == 0) run_lines.push_back(line);
+    while (std::getline(in, line)) {
+      if (line.rfind("run ", 0) != 0) continue;
+      const std::size_t run = std::stoul(line.substr(4));
+      ASSERT_LT(run, config.runs);
+      run_lines[run] = line;
+      ++journaled;
+    }
   }
-  ASSERT_EQ(run_lines.size(), config.runs);
+  ASSERT_EQ(journaled, config.runs);
 
   // Simulate an interrupted sharded campaign: runs {0, 2} made it into the
   // main journal, runs {1, 3} only into worker 0's shard journal, run 4 was

@@ -33,9 +33,13 @@
 #
 # Under --sanitize the whole suite runs ASan+UBSan-instrumented, which
 # includes the mmap LineParser differential in test_instance_io (unaligned
-# tails, empty files, files without a trailing newline).
+# tails, empty files, files without a trailing newline).  Under --tsan it
+# runs ThreadSanitizer-instrumented, which covers every util::parallel_for
+# user: replica campaigns, band-parallel sweeps, and the setup loops
+# (reference_cut restarts, programming variation) that test_setup_parallel
+# drives above their size gates.
 #
-# Usage: tools/check.sh [--full] [--full-bench] [--sanitize]
+# Usage: tools/check.sh [--full] [--full-bench] [--sanitize] [--tsan]
 #   --full         run the complete ctest suite (every label) instead of
 #                  the tier-1 fast loop; implied by --full-bench.
 #   --full-bench   run the complete suite, then additionally run
@@ -49,6 +53,9 @@
 #                  memory-safety workout of the vectorized sweep -- then
 #                  exit; sanitized binaries are too slow for the bench gate
 #                  to be meaningful.
+#   --tsan         build the tsan preset (thread sanitizer) and run the whole
+#                  suite under it, then exit; a reported race fails the test
+#                  that hit it.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -57,14 +64,24 @@ cd "${repo_root}"
 full=0
 full_bench=0
 sanitize=0
+tsan=0
 for arg in "$@"; do
   case "${arg}" in
     --full) full=1 ;;
     --full-bench) full_bench=1; full=1 ;;
     --sanitize) sanitize=1 ;;
+    --tsan) tsan=1 ;;
     *) echo "unknown argument: ${arg}" >&2; exit 2 ;;
   esac
 done
+
+if [[ "${tsan}" == 1 ]]; then
+  cmake --preset tsan
+  cmake --build build-tsan -j"$(nproc)"
+  ctest --test-dir build-tsan --output-on-failure -j"$(nproc)"
+  echo "check.sh: thread-sanitized test suite OK"
+  exit 0
+fi
 
 if [[ "${sanitize}" == 1 ]]; then
   cmake --preset asan-ubsan
