@@ -135,6 +135,13 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
       }
     }
   }
+  // The deterministic readout needs no stochastic term anywhere in the
+  // sensing chain, and walks the segment-class cache that only arrays
+  // programmed without read noise carry.
+  deterministic_readout_ =
+      array_->variation_params().read_noise_rel <= 0.0 &&
+      !(adc_.params().noise_lsb_rms > 0.0);
+  FECIM_EXPECTS(!deterministic_readout_ || array_->has_class_cache());
   noise_ = ReadoutNoise::for_run(0);
   // Per-tile digital calibration factors of the stochastic path (see the
   // e_inc merge in evaluate()); constant per engine, so the per-evaluation
@@ -175,8 +182,6 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   }
   const double i_on = cached_i_on_;
   const double read_noise_rel = array_->variation_params().read_noise_rel;
-  const bool adc_noisy = adc_.params().noise_lsb_rms > 0.0;
-  const bool deterministic_readout = read_noise_rel <= 0.0 && !adc_noisy;
   // Association mirrors the per-cell form: (i_on * att) * sum and
   // ((rel * i_on) * att) * sqrt(sq_sum), keeping results bit-identical.
   // Deterministic readout evaluates at the logical-array calibration point
@@ -204,57 +209,56 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   for (const auto f : flips) FECIM_EXPECTS(f < ws.flip_mask.size());
   for (const auto f : flips) ws.flip_mask[f] = 1;
 
-  const auto cache_rows = array_->cache_rows();
-  const auto cache_mults = array_->cache_multipliers();
-  const auto all_mults = array_->multipliers();
   const std::size_t slots = static_cast<std::size_t>(bits) * 2;
 
-  // One sweep over each distinct cell list of a (band, column) accumulates
-  // both row-polarity passes into ws.sum (index 0 = +1 pass, 1 = -1): an
-  // unflipped row contributes to exactly one polarity, and the
-  // per-polarity addition order stays the column's cell order.
-  // `base_spins`/`base_mask` point at the band's first row, so the
-  // band-relative cached rows index them directly (a monolithic band
-  // starts at row 0).
-  const auto accumulate_classes =
-      [&](std::span<const ProgrammedArray::SegmentClass> classes,
-          const ising::Spin* base_spins, const std::uint8_t* base_mask) {
-        for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-          const auto& cls = classes[ci];
-          if (cls.all_unit) {
-            // Branchless: spins are random +-1, so per-cell branches
-            // mispredict half the time; counting live and positive cells
-            // with masks keeps the loop vectorizable.
-            std::uint32_t live = 0;
-            std::uint32_t count_pos = 0;
-            for (std::uint32_t k = cls.begin; k < cls.end; ++k) {
-              const auto row = cache_rows[k];
-              const std::uint32_t unflipped = base_mask[row] == 0 ? 1u : 0u;
-              live += unflipped;
-              count_pos += unflipped & (base_spins[row] > 0 ? 1u : 0u);
+  if (deterministic_readout_) {
+    const auto cache_rows = array_->cache_rows();
+    const auto cache_mults = array_->cache_multipliers();
+    // One sweep over each distinct cell list of a (band, column) accumulates
+    // both row-polarity passes into ws.sum (index 0 = +1 pass, 1 = -1): an
+    // unflipped row contributes to exactly one polarity, and the
+    // per-polarity addition order stays the column's cell order.
+    // `base_spins`/`base_mask` point at the band's first row, so the
+    // band-relative cached rows index them directly (a monolithic band
+    // starts at row 0).
+    const auto accumulate_classes =
+        [&](std::span<const ProgrammedArray::SegmentClass> classes,
+            const ising::Spin* base_spins, const std::uint8_t* base_mask) {
+          for (std::size_t ci = 0; ci < classes.size(); ++ci) {
+            const auto& cls = classes[ci];
+            if (cls.all_unit) {
+              // Branchless: spins are random +-1, so per-cell branches
+              // mispredict half the time; counting live and positive cells
+              // with masks keeps the loop vectorizable.
+              std::uint32_t live = 0;
+              std::uint32_t count_pos = 0;
+              for (std::uint32_t k = cls.begin; k < cls.end; ++k) {
+                const auto row = cache_rows[k];
+                const std::uint32_t unflipped = base_mask[row] == 0 ? 1u : 0u;
+                live += unflipped;
+                count_pos += unflipped & (base_spins[row] > 0 ? 1u : 0u);
+              }
+              const std::uint32_t count_neg = live - count_pos;
+              ws.sum[0][ci] = static_cast<double>(count_pos);
+              ws.sum[1][ci] = static_cast<double>(count_neg);
+            } else {
+              double sum_pos = 0.0;
+              double sum_neg = 0.0;
+              for (std::uint32_t k = cls.begin; k < cls.end; ++k) {
+                const auto row = cache_rows[k];
+                if (base_mask[row]) continue;
+                const double m = cache_mults[k];
+                if (base_spins[row] > 0)
+                  sum_pos += m;
+                else
+                  sum_neg += m;
+              }
+              ws.sum[0][ci] = sum_pos;
+              ws.sum[1][ci] = sum_neg;
             }
-            const std::uint32_t count_neg = live - count_pos;
-            ws.sum[0][ci] = static_cast<double>(count_pos);
-            ws.sum[1][ci] = static_cast<double>(count_neg);
-          } else {
-            double sum_pos = 0.0;
-            double sum_neg = 0.0;
-            for (std::uint32_t k = cls.begin; k < cls.end; ++k) {
-              const auto row = cache_rows[k];
-              if (base_mask[row]) continue;
-              const double m = cache_mults[k];
-              if (base_spins[row] > 0)
-                sum_pos += m;
-              else
-                sum_neg += m;
-            }
-            ws.sum[0][ci] = sum_pos;
-            ws.sum[1][ci] = sum_neg;
           }
-        }
-      };
+        };
 
-  if (deterministic_readout) {
     for (const auto j : flips) {
       // sigma_c_j = -sigma_j (the flipped value); its sign selects the
       // DL-polarity pass this column participates in.
@@ -345,6 +349,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
       noise_.next_conversion += column_conversions;
     }
   } else {
+    const auto all_mults = array_->multipliers();
     // Stochastic readout sweep over independent (flip, band) units.
     //
     // Serial prelude: ledger accounting, the canonical conversion-index
@@ -566,7 +571,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   // VMV times the hardware realization of f(T).  The stochastic path
   // calibrates each tile's code sum by that tile's own attenuation; the
   // deterministic path divides the shared logical-array factor back out.
-  if (deterministic_readout) {
+  if (deterministic_readout_) {
     const double to_einc =
         couplings.scale() * adc_.lsb_current() / (i_on_max_ * attenuation_);
     result.e_inc = accumulator * to_einc;

@@ -28,10 +28,15 @@
 // partial sums regroup exactly, i.e. integer multiplier sums) while the
 // ledger still counts every physical per-tile conversion.
 //
-// Hot path: the engine walks the array's precomputed per-band bit-plane
-// column cache (one pass over each distinct segment class accumulates both
-// row polarities) instead of decoding magnitudes per cell per call, and
-// tracks flip membership through a reusable per-engine workspace bitmask.
+// Hot path: deterministic readout walks the array's precomputed per-band
+// segment-class cache (one pass over each distinct segment class
+// accumulates both row polarities); stochastic readout sweeps the cells of
+// each (flip, band) against the entry-major multipliers through the
+// array's compacted conversion slots.  Neither decodes magnitudes per call,
+// and both track flip membership through a reusable per-engine workspace
+// bitmask.  Construction checks that a deterministic configuration meets
+// an array that carries the class cache (arrays programmed with read noise
+// skip it).
 // Readout noise comes from counter-keyed streams (ReadoutNoise) indexed by
 // the canonical conversion order, batched per (column, tile) through the
 // ziggurat sampler -- no sequential RNG anywhere in the sensing chain.  All
@@ -170,6 +175,9 @@ class AnalogCrossbarEngine final : public EincEngine {
   /// merge avoids a divide per band.
   std::vector<double> band_to_einc_;
   double i_on_max_ = 0.0;
+  /// No read noise on the array and no ADC noise: evaluate() takes the
+  /// shared-conversion path over the array's segment-class cache.
+  bool deterministic_readout_ = false;
   // on_current() evaluates the EKV transistor model; the DAC-quantized V_BG
   // schedule repeats levels for long stretches, so memoize the last level.
   double cached_vbg_ = -1.0;

@@ -69,8 +69,8 @@ ArrayDigest array_digest(const QuantizedCouplings& couplings,
   b.add_double(device_params.transistor.lambda);
 
   // Programming-time stochastic state: variation model + its seed.  (Read
-  // noise is re-keyed per run and does not live in the array, but its rate
-  // parameter travels with VariationParams; hashing it is conservative.)
+  // noise is re-keyed per run and its draws do not live in the array, but
+  // its rate decides whether the array builds the segment-class cache.)
   b.add_double(variation.vth_sigma);
   b.add_double(variation.read_noise_rel);
   b.add_double(variation.stuck_off_rate);

@@ -123,20 +123,82 @@ void ProgrammedArray::build_column_cache() {
   const std::size_t num_bands = bands_.size();
   FECIM_EXPECTS(bits >= 1 && bits <= 16);
 
-  segments_.assign(num_bands * n * bits * 2, SegmentRef{});
-  class_ptr_.assign(num_bands * n + 1, 0);
-  slot_ptr_.assign(num_bands * n + 1, 0);
-  slot_src_.clear();
-  slot_weight_.clear();
-  classes_.clear();
-  class_weights_.clear();
   present_count_.assign(num_bands * n, 0);
   present_total_.assign(n, 0);
   present_union_.assign(n, 0);
   active_bands_.assign(n, 0);
   band_cell_ptr_.assign(n * (num_bands + 1), 0);
-  cache_rows_.clear();
-  cache_mults_.clear();
+  slot_ptr_.assign(num_bands * n + 1, 0);
+
+  // One pass over every column's cells.  Cells within a column are stored
+  // in ascending row order, so each row band owns one contiguous sub-range:
+  // resolve the band boundaries, and per (band, column) the mask of present
+  // segments, bit (bit * 2 + plane) -- OR the band's |magnitudes| per sign,
+  // then interleave the two planes.  Presence ignores the multipliers.
+  std::vector<std::uint32_t> present_masks(num_bands * n, 0);
+  std::size_t total_slots = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto view = column(j);
+    auto* ptr = band_cell_ptr_.data() + j * (num_bands + 1);
+    std::uint32_t union_mask = 0;
+    std::size_t k = 0;
+    for (std::size_t band = 0; band < num_bands; ++band) {
+      ptr[band] = static_cast<std::uint32_t>(k);
+      std::uint32_t plane_bits[2] = {0, 0};
+      for (; k < view.rows.size() && view.rows[k] < bands_[band].row_end;
+           ++k) {
+        const std::int32_t mag = view.magnitudes[k];
+        plane_bits[mag < 0 ? 1 : 0] |=
+            static_cast<std::uint32_t>(std::abs(mag));
+      }
+      std::uint32_t mask = 0;
+      for (std::size_t b = 0; b < bits; ++b)
+        mask |= ((plane_bits[0] >> b) & 1u) << (b * 2) |
+                ((plane_bits[1] >> b) & 1u) << (b * 2 + 1);
+      present_masks[band * n + j] = mask;
+      union_mask |= mask;
+      total_slots += static_cast<std::size_t>(std::popcount(mask));
+      if (mask != 0) ++active_bands_[j];
+    }
+    ptr[num_bands] = static_cast<std::uint32_t>(k);
+    FECIM_ASSERT(k == view.rows.size());
+    present_union_[j] =
+        static_cast<std::uint32_t>(std::popcount(union_mask));
+  }
+
+  // Compacted conversion slots, band-major, each (band, column) in the
+  // canonical order -- bit ascending, + plane before - -- which is also the
+  // noise-cursor walk.
+  slot_src_.reserve(total_slots);
+  slot_weight_.reserve(total_slots);
+  for (std::size_t slot = 0; slot < num_bands * n; ++slot) {
+    const std::uint32_t mask = present_masks[slot];
+    for (std::size_t s = 0; s < bits * 2; ++s) {
+      if (!((mask >> s) & 1u)) continue;
+      const std::size_t b = s >> 1;
+      const std::size_t plane = s & 1;
+      slot_src_.push_back(static_cast<std::uint8_t>(plane * bits + b));
+      slot_weight_.push_back((plane == 0 ? 1.0 : -1.0) *
+                             static_cast<double>(1u << b));
+    }
+    present_count_[slot] = static_cast<std::uint32_t>(std::popcount(mask));
+    present_total_[slot % n] += present_count_[slot];
+    slot_ptr_[slot + 1] = static_cast<std::uint32_t>(slot_src_.size());
+  }
+
+  // Only the deterministic readout reads the class cache, and it requires
+  // an array without read noise (see file comment).
+  if (variation_.read_noise_rel <= 0.0) build_class_cache(present_masks);
+}
+
+void ProgrammedArray::build_class_cache(
+    std::span<const std::uint32_t> present_masks) {
+  const auto bits = static_cast<std::size_t>(couplings_.bits());
+  const std::size_t n = couplings_.num_spins();
+  const std::size_t num_bands = bands_.size();
+
+  segments_.assign(num_bands * n * bits * 2, SegmentRef{});
+  class_ptr_.assign(num_bands * n + 1, 0);
   // Heuristic reserve: with segment-class dedup the common cases (unit
   // weights, coarse quantization) store each programmed entry about once;
   // fully-distinct multipliers can grow this toward nonzeros * bits, which
@@ -145,116 +207,80 @@ void ProgrammedArray::build_column_cache() {
   cache_rows_.reserve(couplings_.nonzeros());
   cache_mults_.reserve(couplings_.nonzeros());
 
-  // Cells within a column are stored in ascending row order, so each row
-  // band owns one contiguous sub-range of the column's cells: resolve the
-  // band boundaries once per column for the stochastic per-cell sweep.
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto view = column(j);
-    auto* ptr = band_cell_ptr_.data() + j * (num_bands + 1);
-    std::size_t k = 0;
-    for (std::size_t b = 0; b < num_bands; ++b) {
-      ptr[b] = static_cast<std::uint32_t>(k);
-      while (k < view.rows.size() && view.rows[k] < bands_[b].row_end) ++k;
-    }
-    ptr[num_bands] = static_cast<std::uint32_t>(k);
-    FECIM_ASSERT(k == view.rows.size());
-  }
-
   std::vector<std::uint32_t> stage_rows;
   std::vector<float> stage_mults;
-  // Per-column scratch tracking the union of present segments over bands.
-  std::vector<std::uint32_t> union_mask(n, 0);
-
   for (std::size_t band = 0; band < num_bands; ++band) {
     const std::uint32_t row0 = bands_[band].row_begin;
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t slot = band * n + j;
+      const std::uint32_t mask = present_masks[slot];
       const auto view = column(j);
       const auto range = column_band_cells(band, j);
       const std::size_t class_base = classes_.size();
-      bool band_active = false;
-      for (std::size_t b = 0; b < bits; ++b) {
-        for (int plane = 0; plane < 2; ++plane) {
-          stage_rows.clear();
-          stage_mults.clear();
-          bool present = false;
-          bool all_unit = true;
-          for (std::size_t k = range.begin; k < range.end; ++k) {
-            const std::int32_t mag = view.magnitudes[k];
-            const auto abs_mag = static_cast<std::uint32_t>(std::abs(mag));
-            if (!(abs_mag & (1u << b))) continue;
-            if ((mag < 0 ? 1 : 0) != plane) continue;
-            present = true;
-            const float m = multipliers_[(view.first_entry + k) * bits + b];
-            if (m == 0.0F) continue;  // stuck-off: exact +0.0 contribution
-            stage_rows.push_back(view.rows[k] - row0);  // band-relative
-            stage_mults.push_back(m);
-            all_unit &= m == 1.0F;
-          }
-          auto& seg =
-              segments_[(slot * bits + b) * 2 + static_cast<std::size_t>(plane)];
-          seg.present = present ? 1 : 0;
-          if (!present) continue;
-          band_active = true;
-          union_mask[j] |= 1u << (b * 2 + static_cast<std::size_t>(plane));
-
-          // Dedupe against this (band, column)'s existing classes: identical
-          // cell lists (common under coarse quantization, universal for unit
-          // weights) share one accumulation per evaluation.
-          std::size_t cls = classes_.size();
-          for (std::size_t ci = class_base; ci < classes_.size(); ++ci) {
-            const auto& cand = classes_[ci];
-            const std::size_t len = cand.end - cand.begin;
-            if (len != stage_rows.size()) continue;
-            bool match = true;
-            for (std::size_t e = 0; e < len && match; ++e) {
-              match = cache_rows_[cand.begin + e] == stage_rows[e] &&
-                      cache_mults_[cand.begin + e] == stage_mults[e];
-            }
-            if (match) {
-              cls = ci;
-              break;
-            }
-          }
-          if (cls == classes_.size()) {
-            SegmentClass fresh;
-            fresh.begin = static_cast<std::uint32_t>(cache_rows_.size());
-            cache_rows_.insert(cache_rows_.end(), stage_rows.begin(),
-                               stage_rows.end());
-            cache_mults_.insert(cache_mults_.end(), stage_mults.begin(),
-                                stage_mults.end());
-            fresh.end = static_cast<std::uint32_t>(cache_rows_.size());
-            fresh.all_unit = all_unit ? 1 : 0;
-            classes_.push_back(fresh);
-            class_weights_.push_back(0.0);
-          }
-          // A (band, column) has at most bits * 2 <= 32 segments, so at most
-          // 32 distinct classes -- the engine's accumulator banks rely on
-          // this.
-          const std::size_t local = cls - class_base;
-          FECIM_ASSERT(local < 32);
-          seg.cls = static_cast<std::uint8_t>(local);
-          class_weights_[cls] +=
-              (plane == 0 ? 1.0 : -1.0) * static_cast<double>(1u << b);
-          ++present_count_[slot];
-          // Compacted slot metadata (canonical order: this b-outer,
-          // plane-inner loop IS the noise-cursor walk).
-          slot_src_.push_back(static_cast<std::uint8_t>(
-              static_cast<std::size_t>(plane) * bits + b));
-          slot_weight_.push_back((plane == 0 ? 1.0 : -1.0) *
-                                 static_cast<double>(1u << b));
+      // Present segments in the canonical order s = bit * 2 + plane.
+      for (std::size_t s = 0; s < bits * 2; ++s) {
+        if (!((mask >> s) & 1u)) continue;
+        const std::size_t b = s >> 1;
+        const int plane = static_cast<int>(s & 1);
+        stage_rows.clear();
+        stage_mults.clear();
+        bool all_unit = true;
+        for (std::size_t k = range.begin; k < range.end; ++k) {
+          const std::int32_t mag = view.magnitudes[k];
+          const auto abs_mag = static_cast<std::uint32_t>(std::abs(mag));
+          if (!(abs_mag & (1u << b))) continue;
+          if ((mag < 0 ? 1 : 0) != plane) continue;
+          const float m = multipliers_[(view.first_entry + k) * bits + b];
+          if (m == 0.0F) continue;  // stuck-off: exact +0.0 contribution
+          stage_rows.push_back(view.rows[k] - row0);  // band-relative
+          stage_mults.push_back(m);
+          all_unit &= m == 1.0F;
         }
+
+        // Dedupe against this (band, column)'s existing classes: identical
+        // cell lists (common under coarse quantization, universal for unit
+        // weights) share one accumulation per evaluation.
+        std::size_t cls = classes_.size();
+        for (std::size_t ci = class_base; ci < classes_.size(); ++ci) {
+          const auto& cand = classes_[ci];
+          const std::size_t len = cand.end - cand.begin;
+          if (len != stage_rows.size()) continue;
+          bool match = true;
+          for (std::size_t e = 0; e < len && match; ++e) {
+            match = cache_rows_[cand.begin + e] == stage_rows[e] &&
+                    cache_mults_[cand.begin + e] == stage_mults[e];
+          }
+          if (match) {
+            cls = ci;
+            break;
+          }
+        }
+        if (cls == classes_.size()) {
+          SegmentClass fresh;
+          fresh.begin = static_cast<std::uint32_t>(cache_rows_.size());
+          cache_rows_.insert(cache_rows_.end(), stage_rows.begin(),
+                             stage_rows.end());
+          cache_mults_.insert(cache_mults_.end(), stage_mults.begin(),
+                              stage_mults.end());
+          fresh.end = static_cast<std::uint32_t>(cache_rows_.size());
+          fresh.all_unit = all_unit ? 1 : 0;
+          classes_.push_back(fresh);
+          class_weights_.push_back(0.0);
+        }
+        // A (band, column) has at most bits * 2 <= 32 segments, so at most
+        // 32 distinct classes -- the engine's accumulator banks rely on
+        // this.
+        const std::size_t local = cls - class_base;
+        FECIM_ASSERT(local < 32);
+        auto& seg = segments_[slot * bits * 2 + s];
+        seg.present = 1;
+        seg.cls = static_cast<std::uint8_t>(local);
+        class_weights_[cls] +=
+            (plane == 0 ? 1.0 : -1.0) * static_cast<double>(1u << b);
       }
       class_ptr_[slot + 1] = static_cast<std::uint32_t>(classes_.size());
-      slot_ptr_[slot + 1] = static_cast<std::uint32_t>(slot_src_.size());
-      present_total_[j] += present_count_[slot];
-      if (band_active) ++active_bands_[j];
     }
   }
-
-  for (std::size_t j = 0; j < n; ++j)
-    present_union_[j] =
-        static_cast<std::uint32_t>(std::popcount(union_mask[j]));
 
   cache_rows_.shrink_to_fit();
   cache_mults_.shrink_to_fit();
@@ -296,13 +322,13 @@ std::size_t ProgrammedArray::approx_bytes() const noexcept {
       (couplings_.num_spins() + 1) * sizeof(std::size_t) +
       couplings_.nonzeros() * (sizeof(std::uint32_t) + sizeof(std::int32_t));
   return sizeof(*this) + coupling_bytes + vec_bytes(bands_) +
-         vec_bytes(multipliers_) + vec_bytes(segments_) + vec_bytes(classes_) +
+         vec_bytes(multipliers_) + vec_bytes(present_count_) +
+         vec_bytes(present_total_) + vec_bytes(present_union_) +
+         vec_bytes(active_bands_) + vec_bytes(band_cell_ptr_) +
+         vec_bytes(slot_src_) + vec_bytes(slot_weight_) +
+         vec_bytes(slot_ptr_) + vec_bytes(segments_) + vec_bytes(classes_) +
          vec_bytes(class_ptr_) + vec_bytes(cache_rows_) +
-         vec_bytes(cache_mults_) + vec_bytes(class_weights_) +
-         vec_bytes(present_count_) + vec_bytes(present_total_) +
-         vec_bytes(present_union_) + vec_bytes(active_bands_) +
-         vec_bytes(band_cell_ptr_) + vec_bytes(slot_src_) +
-         vec_bytes(slot_weight_) + vec_bytes(slot_ptr_);
+         vec_bytes(cache_mults_) + vec_bytes(class_weights_);
 }
 
 }  // namespace fecim::crossbar

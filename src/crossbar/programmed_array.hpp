@@ -17,22 +17,31 @@
 // of physical tiles (crossbar::TilePlan).  The compute-relevant partition is
 // the row-band one: each band of rows senses its own partial column currents
 // which the digital periphery accumulates per logical column.  The array
-// therefore builds its bit-plane column cache PER BAND -- segment classes,
-// presence and class weights are band-local, and cached row indices are
-// band-relative -- so the engines can sweep tiles independently.  The
-// all-zero TileShape default keeps one band covering every row, which is
-// byte-for-byte the historical monolithic cache.
+// therefore builds its bit-plane column metadata PER BAND -- presence,
+// conversion slots, segment classes and class weights are band-local, and
+// cached row indices are band-relative -- so the engines can sweep tiles
+// independently.  The all-zero TileShape default keeps one band covering
+// every row, which is byte-for-byte the historical monolithic layout.
 //
 // Because the array is immutable once programmed, programming time also
-// builds the cache: for every (band, logical column, bit, plane) the
-// conducting cells are laid out contiguously as (band-relative row,
-// multiplier) entries, and segments with identical content within a
-// (band, column) are deduped into shared "segment classes" so the engine
-// accumulates each distinct cell list once per evaluation instead of once
-// per bit.  The cache is a pure re-layout of column()/bit_multiplier(): the
-// engine's sums over it are bit-identical to decoding magnitudes on the fly
-// (entries stay in ascending intra-column order, and dropped
-// zero-multiplier cells only ever contributed exact +0.0 terms).
+// derives what the readout reads, in two layers:
+//  * Sweep metadata, for every array: each (band, column)'s cell sub-range,
+//    its present (bit, plane) segments and their compacted conversion slots
+//    in the canonical cursor order.  The stochastic readout sweeps cells
+//    against multipliers() through it.
+//  * The segment-class cache, only for arrays programmed without read noise
+//    (has_class_cache()), because only the deterministic readout reads it:
+//    for every (band, logical column, bit, plane) the conducting cells are
+//    laid out contiguously as (band-relative row, multiplier) entries, and
+//    segments with identical content within a (band, column) are deduped
+//    into shared "segment classes" so the engine accumulates each distinct
+//    cell list once per evaluation instead of once per bit.  An array with
+//    read noise can never take the deterministic path, which needs a
+//    noise-free array and a noise-free ADC, so it skips the cache.
+// Both are pure re-layouts of column()/bit_multiplier(): the engine's sums
+// over them are bit-identical to decoding magnitudes on the fly (entries
+// stay in ascending intra-column order, and dropped zero-multiplier cells
+// only ever contributed exact +0.0 terms).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +53,7 @@
 #include "crossbar/tiling.hpp"
 #include "device/dg_fefet.hpp"
 #include "device/variation.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace fecim::crossbar {
@@ -133,65 +143,15 @@ class ProgrammedArray {
   }
 
   // -------------------------------------------------------------------------
-  // Bit-plane column cache (precomputed at program time, one copy per row
-  // band; see file comment).
+  // Sweep metadata (every array; precomputed at program time, one copy per
+  // row band -- see file comment).
   // -------------------------------------------------------------------------
-
-  /// One distinct conducting-cell list of a (band, column).  Entries live in
-  /// cache_rows()/cache_multipliers()[begin, end), in ascending intra-column
-  /// order with zero-multiplier (stuck-off) cells dropped; cached rows are
-  /// relative to the band's row_begin.
-  struct SegmentClass {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    /// Every multiplier is exactly 1.0f (ideal or stuck-on cells): sums of
-    /// k ones equal double(k) exactly, so the engine may count instead of
-    /// accumulate.
-    std::uint8_t all_unit = 0;
-  };
-
-  /// Physical (bit, plane) column of a logical column within one row band:
-  /// whether any programmed cell of the band stores this bit (the tile
-  /// controller senses the column even when every such cell is stuck off),
-  /// and which class holds its conducting cells.  `cls` indexes
-  /// column_classes(band, j).
-  struct SegmentRef {
-    std::uint8_t cls = 0;
-    std::uint8_t present = 0;
-  };
-
-  /// Segment refs of logical column j in row band `band`, indexed
-  /// [bit * 2 + plane] (plane 0 = positive weights, 1 = negative).
-  std::span<const SegmentRef> column_segments(std::size_t band,
-                                              std::size_t j) const {
-    const auto stride = static_cast<std::size_t>(couplings_.bits()) * 2;
-    return {segments_.data() + (band * num_columns() + j) * stride, stride};
-  }
-
-  /// Distinct segment classes of (band, column j) (at most bits * 2).
-  std::span<const SegmentClass> column_classes(std::size_t band,
-                                               std::size_t j) const {
-    const std::size_t slot = band * num_columns() + j;
-    return {classes_.data() + class_ptr_[slot],
-            class_ptr_[slot + 1] - class_ptr_[slot]};
-  }
-
-  /// Net digital weight of each class of (band, column j), aligned with
-  /// column_classes(band, j):  sum over the present segments referencing
-  /// the class of  plane_sign * 2^bit.  Every term is an integer, so with a
-  /// deterministic readout (one shared code per class) accumulating
-  /// weight * code per class is bit-identical to the per-segment
-  /// shift-and-add in any association.
-  std::span<const double> column_class_weights(std::size_t band,
-                                               std::size_t j) const {
-    const std::size_t slot = band * num_columns() + j;
-    return {class_weights_.data() + class_ptr_[slot],
-            class_ptr_[slot + 1] - class_ptr_[slot]};
-  }
 
   /// Number of present (bit, plane) physical columns of logical column j in
   /// row band `band` -- the ADC conversions one polarity pass of this
-  /// column costs in that band's tile.
+  /// column costs in that band's tile.  A segment is present when any
+  /// programmed cell of the band stores its bit with its sign: the tile
+  /// controller senses the column even when every such cell is stuck off.
   std::uint32_t column_present_segments(std::size_t band,
                                         std::size_t j) const {
     return present_count_[band * num_columns() + j];
@@ -239,19 +199,89 @@ class ProgrammedArray {
             slot_ptr_[slot + 1] - slot_ptr_[slot]};
   }
 
-  std::span<const std::uint32_t> cache_rows() const noexcept { return cache_rows_; }
-  std::span<const float> cache_multipliers() const noexcept {
+  // -------------------------------------------------------------------------
+  // Segment-class cache (arrays programmed without read noise only; one
+  // copy per row band -- see file comment).  The accessors below raise
+  // contract_error on an array without it.
+  // -------------------------------------------------------------------------
+
+  /// Whether the array carries the segment-class cache the deterministic
+  /// readout walks: exactly when it was programmed without read noise
+  /// (variation_params().read_noise_rel <= 0).
+  bool has_class_cache() const noexcept { return !class_ptr_.empty(); }
+
+  /// One distinct conducting-cell list of a (band, column).  Entries live in
+  /// cache_rows()/cache_multipliers()[begin, end), in ascending intra-column
+  /// order with zero-multiplier (stuck-off) cells dropped; cached rows are
+  /// relative to the band's row_begin.
+  struct SegmentClass {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    /// Every multiplier is exactly 1.0f (ideal or stuck-on cells): sums of
+    /// k ones equal double(k) exactly, so the engine may count instead of
+    /// accumulate.
+    std::uint8_t all_unit = 0;
+  };
+
+  /// Physical (bit, plane) column of a logical column within one row band:
+  /// whether it is present (see column_present_segments) and which class
+  /// holds its conducting cells.  `cls` indexes column_classes(band, j).
+  struct SegmentRef {
+    std::uint8_t cls = 0;
+    std::uint8_t present = 0;
+  };
+
+  /// Segment refs of logical column j in row band `band`, indexed
+  /// [bit * 2 + plane] (plane 0 = positive weights, 1 = negative).
+  std::span<const SegmentRef> column_segments(std::size_t band,
+                                              std::size_t j) const {
+    FECIM_EXPECTS(has_class_cache());
+    const auto stride = static_cast<std::size_t>(couplings_.bits()) * 2;
+    return {segments_.data() + (band * num_columns() + j) * stride, stride};
+  }
+
+  /// Distinct segment classes of (band, column j) (at most bits * 2).
+  std::span<const SegmentClass> column_classes(std::size_t band,
+                                               std::size_t j) const {
+    FECIM_EXPECTS(has_class_cache());
+    const std::size_t slot = band * num_columns() + j;
+    return {classes_.data() + class_ptr_[slot],
+            class_ptr_[slot + 1] - class_ptr_[slot]};
+  }
+
+  /// Net digital weight of each class of (band, column j), aligned with
+  /// column_classes(band, j):  sum over the present segments referencing
+  /// the class of  plane_sign * 2^bit.  Every term is an integer, so with a
+  /// deterministic readout (one shared code per class) accumulating
+  /// weight * code per class is bit-identical to the per-segment
+  /// shift-and-add in any association.
+  std::span<const double> column_class_weights(std::size_t band,
+                                               std::size_t j) const {
+    FECIM_EXPECTS(has_class_cache());
+    const std::size_t slot = band * num_columns() + j;
+    return {class_weights_.data() + class_ptr_[slot],
+            class_ptr_[slot + 1] - class_ptr_[slot]};
+  }
+
+  std::span<const std::uint32_t> cache_rows() const {
+    FECIM_EXPECTS(has_class_cache());
+    return cache_rows_;
+  }
+  std::span<const float> cache_multipliers() const {
+    FECIM_EXPECTS(has_class_cache());
     return cache_mults_;
   }
 
   /// Approximate heap footprint of the programmed array (cell multipliers,
-  /// coupling copy, per-band column cache) -- the unit the array cache's
-  /// byte budget accounts in (crossbar/array_cache.hpp).
+  /// coupling copy, per-band sweep metadata and, when built, the class
+  /// cache) -- the unit the array cache's byte budget accounts in
+  /// (crossbar/array_cache.hpp).
   std::size_t approx_bytes() const noexcept;
 
  private:
   std::size_t num_columns() const noexcept { return couplings_.num_spins(); }
   void build_column_cache();
+  void build_class_cache(std::span<const std::uint32_t> present_masks);
 
   QuantizedCouplings couplings_;
   CrossbarMapping mapping_;
@@ -263,15 +293,9 @@ class ProgrammedArray {
   std::vector<float> multipliers_;
   std::size_t faulted_ = 0;
 
-  // Column cache storage (see accessors above).  Band-major: the cache of
-  // band b occupies the index range [b * n, (b + 1) * n) of the per-column
+  // Column metadata storage (see accessors above).  Band-major: band b
+  // occupies the index range [b * n, (b + 1) * n) of the per-(band, column)
   // arrays, so a monolithic array keeps the historical single-block layout.
-  std::vector<SegmentRef> segments_;  // [((band * n + j) * bits + bit) * 2 + plane]
-  std::vector<SegmentClass> classes_;    // grouped per (band, column)
-  std::vector<std::uint32_t> class_ptr_;  // (band, column) -> range in classes_
-  std::vector<std::uint32_t> cache_rows_;  // band-relative rows
-  std::vector<float> cache_mults_;
-  std::vector<double> class_weights_;      // aligned with classes_
   std::vector<std::uint32_t> present_count_;  // per (band, column)
   std::vector<std::uint32_t> present_total_;  // per column, summed over bands
   std::vector<std::uint32_t> present_union_;  // per column, union over bands
@@ -280,6 +304,13 @@ class ProgrammedArray {
   std::vector<std::uint8_t> slot_src_;        // compacted slots, see accessor
   std::vector<double> slot_weight_;           // aligned with slot_src_
   std::vector<std::uint32_t> slot_ptr_;       // (band, column) -> slot range
+  // Segment-class cache; every vector stays empty without it.
+  std::vector<SegmentRef> segments_;  // [((band * n + j) * bits + bit) * 2 + plane]
+  std::vector<SegmentClass> classes_;    // grouped per (band, column)
+  std::vector<std::uint32_t> class_ptr_;  // (band, column) -> range in classes_
+  std::vector<std::uint32_t> cache_rows_;  // band-relative rows
+  std::vector<float> cache_mults_;
+  std::vector<double> class_weights_;      // aligned with classes_
 };
 
 }  // namespace fecim::crossbar

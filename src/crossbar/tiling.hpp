@@ -36,7 +36,7 @@ struct TileShape {
 
 /// One horizontal band of the tile grid: the physical rows
 /// [row_begin, row_end) a tile stack owns.  Row indices inside a band's
-/// column cache are stored relative to `row_begin`.
+/// segment-class cache are stored relative to `row_begin`.
 struct TileBand {
   std::uint32_t row_begin = 0;
   std::uint32_t row_end = 0;

@@ -8,7 +8,8 @@
 #      tracked baseline in BENCH_hotpath.json (tools/bench_gate.py; >10%
 #      regressions on both signals fail, FECIM_BENCH_TOLERANCE overrides;
 #      campaign rows and the tiled analog-noisy row are gated alongside the
-#      engine rows),
+#      engine rows), and run the end-to-end benchmark's arithmetic
+#      self-tests (fecimbench/selftest.py),
 #   4. smoke-run the quickstart example and fecim_solve on every COP family
 #      (maxcut, coloring, knapsack, partition, tsp, qubo), both generated
 #      and file-backed (examples/data/ fixtures, one per file format,
@@ -118,8 +119,13 @@ FECIM_BENCH_SMOKE=1 FECIM_BENCH_OUT="${smoke_json}" ./build/bench/bench_hotpath
 
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/bench_gate.py BENCH_hotpath.json "${smoke_json}"
+  # The end-to-end benchmark's self-tests (fecimbench/metrics.py: the
+  # percentile, span self-time and metric arithmetic); pure Python, well
+  # under a second.  -B keeps the benchmark directory free of bytecode.
+  python3 -B fecimbench/selftest.py
 else
-  echo "check.sh: python3 not found; skipping bench regression gate" >&2
+  echo "check.sh: python3 not found; skipping bench regression gate and" \
+    "benchmark self-tests" >&2
 fi
 
 # Example smoke: quickstart exercises the whole stack (problem -> mapping ->
