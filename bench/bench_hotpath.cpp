@@ -39,12 +39,8 @@
 //      gate on.  Schema v7 adds an "sb-ballistic" row: the simulated-
 //      bifurcation backend's campaign wall-clock (parallel vs serial), with
 //      a per-run replica-determinism assertion on its counter-keyed dither.
-//      Schema v8 adds "analog-noisy-sharded": the noisy campaign across two
-//      fork-spawned worker processes streaming journal-format records over
-//      pipes (core/shard_runner.hpp) vs the in-process pool, asserting the
-//      reduction stays bit-identical across the process boundary; every
-//      campaign row now also carries its "workers" topology (0 =
-//      in-process).
+//      Schema v9 drops v8's forked-worker campaign row and the per-row
+//      "workers" field, together with the multi-process path they timed.
 //
 // Emits machine-readable JSON (default BENCH_hotpath.json; FECIM_BENCH_OUT
 // overrides) so the perf trajectory is tracked across PRs.
@@ -65,7 +61,6 @@
 #include "core/acceptance.hpp"
 #include "core/insitu_annealer.hpp"
 #include "core/runner.hpp"
-#include "core/shard_runner.hpp"
 #include "core/schedule.hpp"
 #include "crossbar/analog_engine.hpp"
 #include "crossbar/array_cache.hpp"
@@ -94,7 +89,6 @@ struct CampaignRow {
   std::size_t runs = 0;
   std::size_t iterations = 0;
   std::size_t threads = 0;
-  std::size_t workers = 0;  ///< forked shard processes; 0 = in-process pool
   double optimized_seconds = 0.0;
   double legacy_seconds = 0.0;
   double speedup = 0.0;
@@ -577,54 +571,6 @@ CampaignRow bench_noisy_campaign(std::size_t n, std::size_t runs,
   return row;
 }
 
-/// Sharded noisy-analog campaign row (schema v8): the same noisy campaign
-/// as "analog-noisy", executed by two fork-spawned worker processes
-/// streaming journal-format records back over pipes (core/shard_runner.hpp)
-/// vs the in-process serial path.  The row tracks multi-process campaign
-/// wall-clock across PRs and hard-asserts process-topology determinism --
-/// the sharded mean must equal the in-process mean bitwise on every bench
-/// run.  Skipped (not emitted) on platforms without fork.
-CampaignRow bench_sharded_campaign(std::size_t n, std::size_t runs,
-                                   std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-noisy-sharded";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-  row.workers = 2;
-
-  auto config = analog_config(/*noisy=*/true);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-
-  core::CampaignConfig in_process;
-  in_process.runs = runs;
-  in_process.threads = 1;
-  core::CampaignConfig sharded = in_process;
-  sharded.workers = row.workers;
-
-  double in_process_objective = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, in_process);
-    in_process_objective = result.objective.mean();
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, sharded);
-    // Records cross a process boundary as journal-format lines; the
-    // reduction must still be bit-identical to the in-process pool.
-    if (result.objective.mean() != in_process_objective)
-      std::printf("(sharded campaign process-determinism mismatch)\n");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
 /// Lifecycle-overhead row: the identical deterministic campaign with and
 /// without an active CancellationToken (a generous run deadline arms the
 /// amortized in-loop poll; the token-free run reduces it to one predictable
@@ -783,7 +729,7 @@ void write_json(const std::string& path, const std::string& mode,
     std::printf("cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v8\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v9\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", mode.c_str());
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", util::worker_threads());
   std::fprintf(f,
@@ -820,11 +766,11 @@ void write_json(const std::string& path, const std::string& mode,
     std::fprintf(f,
                  "    {\"n\": %zu, \"kind\": \"%s\", \"runs\": %zu, "
                  "\"iterations\": %zu, "
-                 "\"threads\": %zu, \"workers\": %zu, "
+                 "\"threads\": %zu, "
                  "\"wall_seconds_optimized\": %.6f, "
                  "\"wall_seconds_legacy\": %.6f, \"speedup\": %.2f}%s\n",
                  row.n, row.kind.c_str(), row.runs, row.iterations,
-                 row.threads, row.workers, row.optimized_seconds,
+                 row.threads, row.optimized_seconds,
                  row.legacy_seconds, row.speedup,
                  i + 1 < campaigns.size() ? "," : "");
   }
@@ -912,11 +858,6 @@ int main() {
       // SB dynamics on the same array class (schema v7): tracked campaign
       // wall-clock plus a hard replica-determinism assertion per run.
       campaigns.push_back(bench_sb_campaign(n, runs, iterations));
-      // Multi-process sharding (schema v8): the noisy campaign across two
-      // forked workers, with a process-topology determinism assertion.
-      // Platforms without fork simply do not emit the row.
-      if (core::shard_runner_supported())
-        campaigns.push_back(bench_sharded_campaign(n, runs, iterations / 4));
     }
     for (const auto& row : campaigns) {
       const char* reference_label = "legacy";
@@ -924,12 +865,11 @@ int main() {
       if (row.kind == "sb-ballistic") reference_label = "serial";
       if (row.kind == "analog-lifecycle") reference_label = "no-token";
       if (row.kind == "analog-batch-cached") reference_label = "uncached";
-      if (row.kind == "analog-noisy-sharded") reference_label = "in-process";
       std::printf(
-          "campaign n=%zu %s runs=%zu iters=%zu threads=%zu workers=%zu: "
+          "campaign n=%zu %s runs=%zu iters=%zu threads=%zu: "
           "optimized %.3fs, %s %.3fs, speedup %.2fx\n",
           row.n, row.kind.c_str(), row.runs, row.iterations, row.threads,
-          row.workers, row.optimized_seconds, reference_label,
+          row.optimized_seconds, reference_label,
           row.legacy_seconds, row.speedup);
     }
   }

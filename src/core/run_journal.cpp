@@ -62,8 +62,7 @@ bool parse_ledger(const std::string& token, crossbar::CostLedger& ledger) {
   return true;
 }
 
-}  // namespace
-
+/// The v1 header line (no trailing newline).
 std::string format_journal_header(std::uint64_t base_seed, std::size_t runs) {
   char buffer[96];
   std::snprintf(buffer, sizeof buffer,
@@ -72,6 +71,7 @@ std::string format_journal_header(std::uint64_t base_seed, std::size_t runs) {
   return buffer;
 }
 
+/// Parse a v1 header line; false on any syntax problem.
 bool parse_journal_header(const std::string& line, std::uint64_t& base_seed,
                           std::size_t& runs) {
   unsigned long long file_seed = 0;
@@ -83,6 +83,8 @@ bool parse_journal_header(const std::string& line, std::uint64_t& base_seed,
   runs = file_runs;
   return true;
 }
+
+}  // namespace
 
 std::string encode_journal_entry(const JournalEntry& entry) {
   std::ostringstream out;
@@ -165,13 +167,15 @@ bool decode_journal_entry(const std::string& line, JournalEntry& entry) {
   } else {
     std::size_t length = 0;
     if (!(in >> length)) return false;
-    in.get();  // the single separator space
-    std::string message(length, '\0');
-    if (length > 0) in.read(message.data(), static_cast<std::streamsize>(length));
-    if (static_cast<std::size_t>(in.gcount()) != length && length > 0)
-      return false;
-    if (in.peek() != std::istringstream::traits_type::eof()) return false;
-    entry.record.error = std::move(message);
+    // The message is the rest of the line after the single separator.
+    // Compare the claimed length with what the line holds before copying
+    // anything, so a corrupt length fails the decode instead of sizing an
+    // allocation.  Not at eof, the length token ended at a character that
+    // is still on the line, so message_start <= line.size().
+    const std::size_t message_start =
+        in.eof() ? line.size() : static_cast<std::size_t>(in.tellg()) + 1;
+    if (length != line.size() - message_start) return false;
+    entry.record.error = line.substr(message_start);
     entry.record.best_energy = 0.0;
     entry.record.solution = failed_run_solution();
     entry.record.best_spins.clear();
@@ -180,28 +184,17 @@ bool decode_journal_entry(const std::string& line, JournalEntry& entry) {
   return true;
 }
 
-void RecordStreamDecoder::feed(const char* data, std::size_t size,
-                               std::vector<JournalEntry>& out) {
-  buffer_.append(data, size);
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n', start);
-    if (newline == std::string::npos) break;
-    const std::string line = buffer_.substr(start, newline - start);
-    start = newline + 1;
-    if (line.empty()) continue;
-    JournalEntry entry;
-    FECIM_EXPECTS(decode_journal_entry(line, entry) &&
-                  "record stream: corrupt complete line (a torn record "
-                  "would have no newline)");
-    out.push_back(std::move(entry));
-  }
-  buffer_.erase(0, start);
-}
+namespace {
 
+/// Read-only parse of a journal file: header validated against
+/// (base_seed, runs), entries validated for range and uniqueness, a torn
+/// final line dropped, interior corruption throws contract_error.  A
+/// missing file yields an empty vector.  Cancelled entries (only possible
+/// in a hand-edited file) are skipped -- a resume must re-execute them.
+/// `valid_lines` receives the surviving raw lines, for compaction.
 std::vector<JournalEntry> read_journal_file(
     const std::string& path, std::uint64_t base_seed, std::size_t runs,
-    std::vector<std::string>* valid_lines) {
+    std::vector<std::string>& valid_lines) {
   std::vector<JournalEntry> entries;
   std::ifstream in(path);
   if (!in) return entries;
@@ -238,11 +231,13 @@ std::vector<JournalEntry> read_journal_file(
     // Cancelled runs carry no work -- never install them from a file, so a
     // resume re-executes them (append never writes them either).
     if (entry.record.status == RunStatus::kCancelled) continue;
-    if (valid_lines != nullptr) valid_lines->push_back(text);
+    valid_lines.push_back(text);
     entries.push_back(std::move(entry));
   }
   return entries;
 }
+
+}  // namespace
 
 RunJournal::~RunJournal() {
   if (file_ != nullptr) std::fclose(file_);
@@ -258,7 +253,7 @@ std::vector<JournalEntry> RunJournal::open(const std::string& path,
   std::vector<JournalEntry> entries;
   std::vector<std::string> valid_lines;
   if (resume)
-    entries = read_journal_file(path, base_seed, runs, &valid_lines);
+    entries = read_journal_file(path, base_seed, runs, valid_lines);
 
   // Rewrite header + valid prefix (compaction drops any torn tail), then
   // keep the handle for appends.

@@ -1,7 +1,5 @@
-// Append-only checkpoint journal for campaign runs (docs/robustness.md),
-// and the record codec its line format has grown into: the same v1 lines
-// serve as the on-disk checkpoint AND as the wire protocol shard workers
-// stream RunRecords over (docs/sharding.md).
+// Append-only checkpoint journal for campaign runs (docs/robustness.md)
+// and the v1 record codec its lines are written in.
 //
 // One text line per terminal run, flushed as the run completes, so a killed
 // process loses at most the line it was writing.  On resume the journal is
@@ -22,14 +20,12 @@
 //
 // Doubles are written as printf "%a" hexfloats so the round-trip is
 // bit-exact.  The trailing "end" sentinel on ok lines and the length prefix
-// on message lines make a torn/partial record detectable exactly the same
-// way on disk and on a pipe.  Cancelled runs are never *journaled* to a
-// file (they carry no work, and a resume should re-execute them) but they
-// do encode/decode: the shard wire must carry every terminal status so the
-// parent's per_run vector matches the in-process path bit for bit.  A torn
-// final line (the kill case) is dropped on open -- the file is compacted to
-// its valid prefix before new lines are appended; a malformed interior line
-// means real corruption and throws contract_error.
+// on message lines make a torn/partial record detectable.  Cancelled runs
+// are never journaled (they carry no work, and a resume should re-execute
+// them), but the codec still encodes and decodes every terminal status.  A
+// torn final line (the kill case) is dropped on open -- the file is
+// compacted to its valid prefix before new lines are appended; a malformed
+// interior line means real corruption and throws contract_error.
 #pragma once
 
 #include <cstdio>
@@ -51,57 +47,17 @@ struct JournalEntry {
 };
 
 // ---------------------------------------------------------------------------
-// Record codec -- shared by the file journal and the shard wire protocol.
+// Record codec
 // ---------------------------------------------------------------------------
 
-/// The v1 header line (no trailing newline).
-std::string format_journal_header(std::uint64_t base_seed, std::size_t runs);
-
-/// Parse a v1 header line; false on any syntax problem.
-bool parse_journal_header(const std::string& line, std::uint64_t& base_seed,
-                          std::size_t& runs);
-
 /// Encode one entry as a v1 line (no trailing newline).  All four terminal
-/// statuses encode -- RunJournal::append skips kCancelled for files, but
-/// the shard wire carries them.
+/// statuses encode, although RunJournal::append skips kCancelled.
 std::string encode_journal_entry(const JournalEntry& entry);
 
 /// Decode one entry line.  Returns false on any framing/syntax problem --
 /// the caller decides whether that means a torn tail (dropped) or interior
 /// corruption (contract_error).
 bool decode_journal_entry(const std::string& line, JournalEntry& entry);
-
-/// Incremental decoder over a streaming byte source (a shard worker's
-/// pipe): feed arbitrary chunks, collect complete decoded entries as
-/// newlines arrive.  A record truncated by a dying writer never gains its
-/// newline, so it stays in the partial-line buffer instead of decoding --
-/// torn records are detectable byte for byte like on disk.  A
-/// newline-terminated line that fails to decode is real wire corruption and
-/// throws contract_error.
-class RecordStreamDecoder {
- public:
-  /// Append `size` bytes; complete entries append to `out`.
-  void feed(const char* data, std::size_t size,
-            std::vector<JournalEntry>& out);
-
-  /// True when the stream ended mid-record (torn tail).
-  bool has_partial_line() const noexcept { return !buffer_.empty(); }
-  const std::string& partial_line() const noexcept { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-/// Read-only parse of a journal file: header validated against
-/// (base_seed, runs), entries validated for range and uniqueness, a torn
-/// final line dropped, interior corruption throws contract_error.  A
-/// missing file yields an empty vector.  Cancelled entries (only possible
-/// in a hand-edited file) are skipped -- a resume must re-execute them.
-/// When `valid_lines` is non-null it receives the surviving raw lines, for
-/// compaction.
-std::vector<JournalEntry> read_journal_file(
-    const std::string& path, std::uint64_t base_seed, std::size_t runs,
-    std::vector<std::string>* valid_lines = nullptr);
 
 /// Append-side handle.  Thread-safe: workers append from inside
 /// parallel_for as their runs complete; each line is flushed immediately.

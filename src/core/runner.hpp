@@ -12,7 +12,6 @@
 // bit-identical for every thread count.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,33 +20,9 @@
 #include "core/problem_instance.hpp"
 #include "core/run_lifecycle.hpp"
 #include "cost/cost_model.hpp"
-#include "problems/graph.hpp"
 #include "util/stats.hpp"
 
 namespace fecim::core {
-
-/// A Max-Cut benchmark instance bundled with its Ising model and the
-/// best-known reference cut (certified for toroidal instances, long-run
-/// local-search proxy otherwise).  Retained as a thin adapter over
-/// ProblemInstance so pre-generalization call sites migrate incrementally;
-/// new code should prefer problems::make_maxcut_problem.
-struct MaxcutInstance {
-  std::string name;
-  std::shared_ptr<const problems::Graph> graph;
-  std::shared_ptr<const ising::IsingModel> model;
-  double reference_cut = 0.0;
-};
-
-/// Build an instance from a graph; reference cut from reference_cut() with
-/// `reference_restarts` random-start 1-opt descents (ignored when the
-/// optimum is certified).
-MaxcutInstance make_maxcut_instance(std::string name, problems::Graph graph,
-                                    std::size_t reference_restarts = 64,
-                                    std::uint64_t reference_seed = 7);
-
-/// View a MaxcutInstance as a ProblemInstance (shares graph/model; decode
-/// scores the cut of the best spins).
-ProblemInstance as_problem(const MaxcutInstance& instance);
 
 /// Deterministic fault-injection test hooks: sabotage the listed run
 /// indices so every recovery path is exercised in CI rather than trusted.
@@ -57,36 +32,13 @@ struct FaultInjection {
   std::vector<std::size_t> fail_runs;  ///< throw injected_fault at run start
   std::vector<std::size_t> hang_runs;  ///< pre-expired run deadline: the
                                        ///< annealer's cooperative poll trips
-  /// Shard-runner hook (workers >= 1 only): the listed worker processes
-  /// _exit abruptly after streaming their first record, so the parent's
-  /// dead-worker recovery path (EOF with missing runs -> re-execute) is
-  /// exercised in CI rather than trusted.
-  std::vector<std::size_t> kill_workers;
 };
-
-/// Where run_campaign points the shared worker pool.  kReplica (default)
-/// parallelizes across runs; kBand executes replicas serially so the
-/// annealer's engine-level band parallelism (e.g.
-/// crossbar::AnalogEngineConfig::band_threads) can claim the pool for the
-/// row bands of each evaluation instead.  kBand is the latency knob for few
-/// long runs over tall tiled arrays; kReplica is the throughput knob for
-/// many runs.  Results are bit-identical across both settings and every
-/// thread count -- replicas and bands are independent by construction.
-enum class Parallelism { kReplica, kBand };
 
 struct CampaignConfig {
   std::size_t runs = 5;
   std::uint64_t base_seed = 42;
   double success_threshold = 0.9;  ///< paper: within 10 % of the reference
   std::size_t threads = 0;         ///< 0 = util::worker_threads()
-  Parallelism parallelism = Parallelism::kReplica;
-  /// Fork-spawned worker processes (docs/sharding.md).  0 (default)
-  /// executes in process on the shared thread pool; >= 1 partitions the
-  /// runs round-robin across that many forked workers that stream records
-  /// back over pipes (core/shard_runner.hpp) -- bit-identical to the
-  /// in-process path for every worker count.  Requires a platform with
-  /// fork (core::shard_runner_supported()).
-  std::size_t workers = 0;
   cost::ComponentCosts costs{};
 
   // --- run lifecycle (docs/robustness.md) ---
@@ -172,15 +124,14 @@ struct CampaignResult {
 };
 
 // ---------------------------------------------------------------------------
-// Campaign execution building blocks -- shared by the in-process thread-pool
-// path below and the multi-process shard runner (core/shard_runner.hpp), so
-// bit-identity between the two holds by construction instead of by parallel
-// maintenance.
+// Campaign execution building blocks -- run_campaign below is composed of
+// them, and a caller that times or traces the stages one by one can drive
+// them directly and still reproduce run_campaign's result bit for bit.
 // ---------------------------------------------------------------------------
 
 /// Per-run aggregation inputs, written into a disjoint slot by whichever
-/// worker (thread or process) executes the run.  One slot per run makes the
-/// final reduction byte-identical to a serial campaign for every schedule:
+/// pool thread executes the run.  One slot per run makes the final
+/// reduction byte-identical to a serial campaign for every schedule:
 /// reduce_campaign always walks runs in index order, so Welford update
 /// order never depends on where a run executed.
 struct RunOutcome {
@@ -190,8 +141,8 @@ struct RunOutcome {
 };
 
 /// Per-run seeds derived up front from the campaign base seed -- the seed
-/// table is what makes the outcome independent of the schedule, of which
-/// runs a resume still has to execute, and of which process runs a shard.
+/// table is what makes the outcome independent of the schedule and of which
+/// runs a resume still has to execute.
 std::vector<std::uint64_t> derive_run_seeds(std::uint64_t base_seed,
                                             std::size_t runs);
 
@@ -212,7 +163,7 @@ RunOutcome execute_campaign_run(
 
 /// Single-threaded reduction in run index order: consumes one RunOutcome
 /// per run and aggregates into the CampaignResult.  No merge mutex, and the
-/// statistics are schedule- and process-topology-independent.
+/// statistics are schedule-independent.
 CampaignResult reduce_campaign(const ProblemInstance& problem,
                                const CampaignConfig& config,
                                std::vector<RunOutcome>&& outcomes);
@@ -220,9 +171,7 @@ CampaignResult reduce_campaign(const ProblemInstance& problem,
 /// Run `config.runs` independent replicas of `annealer` on `problem` and
 /// aggregate.  Runs execute in parallel across `config.threads` workers;
 /// results are bit-identical for every thread count (fixed per-run seeds,
-/// disjoint result slots, reduction in run order).  With config.workers >=
-/// 1 the campaign executes on fork-spawned worker processes instead
-/// (core/shard_runner.hpp) -- still bit-identical.
+/// disjoint result slots, reduction in run order).
 ///
 /// Fault-tolerant: a throwing, timed-out, or cancelled run is recorded on
 /// its RunRecord (status + captured error) and excluded from the aggregate
@@ -232,10 +181,5 @@ CampaignResult reduce_campaign(const ProblemInstance& problem,
 CampaignResult run_campaign(const Annealer& annealer,
                             const ProblemInstance& problem,
                             const CampaignConfig& config);
-
-/// Thin adapter: run_campaign over as_problem(instance).
-CampaignResult run_maxcut_campaign(const Annealer& annealer,
-                                   const MaxcutInstance& instance,
-                                   const CampaignConfig& config);
 
 }  // namespace fecim::core

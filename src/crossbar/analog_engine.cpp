@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/assert.hpp"
-#include "util/parallel.hpp"
 #include "util/simd.hpp"
 
 namespace fecim::crossbar {
@@ -152,7 +151,6 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
                        (i_on_max_ * band_attenuation_[b]);
   workspace_.flip_mask.assign(array_->mapping().num_spins(), 0);
   workspace_.band_acc.assign(bands.size(), 0.0);
-  scratch_.resize(bands.size());
   const auto bits = static_cast<std::size_t>(array_->couplings().bits());
   lane_weight_.resize(4 * bits);
   for (std::size_t pass = 0; pass < 2; ++pass)
@@ -407,19 +405,19 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     const std::uint8_t* const flip_mask = ws.flip_mask.data();
     const ProgrammedArray::ColumnView* const flip_view = ws.flip_view.data();
     const int* const flip_q = ws.flip_q.data();
-    BandScratch* const scratch = scratch_.data();
+    BandScratch& sc = scratch_;
     const double* const batt = band_attenuation_.data();
     const double* const lane_weight = lane_weight_.data();
     const ising::Spin* const spin_data = spins.data();
 
     const std::size_t unit_lanes = 2 * slots;  // 4 * bits conversion lanes
 
-    // Cell sweep of one (flip, band) unit into band scratch at lane_base:
-    // bank-selecting per-cell walk over the band's contiguous sub-range of
-    // the column's cells against the entry-major multiplier storage.  The
-    // inner bit loop is branch-free and unit-stride (absent bits store
-    // multiplier 0); cells of flipped rows and of the other spin bank only
-    // ever contributed exact +0.0 terms to the historical
+    // Cell sweep of one (flip, band) unit into the unit scratch at
+    // lane_base: bank-selecting per-cell walk over the band's contiguous
+    // sub-range of the column's cells against the entry-major multiplier
+    // storage.  The inner bit loop is branch-free and unit-stride (absent
+    // bits store multiplier 0); cells of flipped rows and of the other spin
+    // bank only ever contributed exact +0.0 terms to the historical
     // select-and-multiply form, so skipping them outright leaves every
     // (nonnegative) accumulator bit-identical to the filtered per-segment
     // walk of the reference kernel -- addition order per segment is the
@@ -432,7 +430,6 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
       const auto j = flips[fi];
       const auto& view = flip_view[fi];
       const auto range = array_->column_band_cells(band, j);
-      auto& sc = scratch[band];
       double* FECIM_RESTRICT nsum = sc.nsum + lane_base;
       double* FECIM_RESTRICT nsq = sc.nsq + lane_base;
       for (std::size_t i = 0; i < 2 * slots; ++i) nsum[i] = 0.0;
@@ -485,12 +482,8 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     // precomputed signed lane weights.  Every weighted-code term, pass sum
     // and band_acc partial is an exact integer well under 2^53, so any
     // association here matches the historical int64 shift-and-add
-    // bit-for-bit.  Units are independent: each writes only its band's
-    // scratch and band_acc slot, and per band the flips arrive in flip
-    // order, so the band-parallel dispatch below is bit-identical to the
-    // serial one.
-    const auto sweep_band = [&](std::size_t band) FECIM_ALWAYS_INLINE {
-      auto& sc = scratch[band];
+    // bit-for-bit.
+    for (std::size_t band = 0; band < num_bands; ++band) {
       const double att_b = batt[band];
       const double current_scale_b = i_on * att_b;
       const double noise_scale_b = (read_noise_rel * i_on) * att_b;
@@ -546,20 +539,6 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
         }
         ++fi;
       }
-    };
-
-    if (config_.band_threads == 1 || num_bands == 1) {
-      for (std::size_t band = 0; band < num_bands; ++band) sweep_band(band);
-    } else {
-      // Band-level parallelism: each pool task owns one band end to end
-      // (all flips in flip order), meeting the serial path only at the
-      // digital partial-sum merge below.  Nested inside an already-parallel
-      // campaign replica this degrades to the serial inline sweep.
-      const auto threads = config_.band_threads < 0
-                               ? std::size_t{0}
-                               : static_cast<std::size_t>(config_.band_threads);
-      util::parallel_for(
-          num_bands, [&](std::size_t band) { sweep_band(band); }, threads);
     }
   }
 

@@ -74,16 +74,6 @@ struct AnalogEngineConfig {
   /// (one MNA solve per distinct band height -- at most two under the
   /// balanced split).
   std::vector<double> cached_band_ir_attenuation;
-  /// Threads for the band-level sweep of one stochastic evaluation: 1
-  /// (default) sweeps row bands serially; 0 hands the bands to the shared
-  /// util::parallel_for pool; N caps the pool at N workers.  Every
-  /// (flip, band) unit is independent until the digital partial-sum merge
-  /// and each band owns its scratch and its band_acc slot, so results are
-  /// bit-identical for every setting (pinned by tests/test_band_parallel).
-  /// Inside an already-parallel campaign replica the nested call degrades
-  /// to the serial sweep; pair with core::Parallelism::kBand to devote the
-  /// pool to bands instead of replicas.
-  int band_threads = 1;
 };
 
 class AnalogCrossbarEngine final : public EincEngine {
@@ -125,7 +115,7 @@ class AnalogCrossbarEngine final : public EincEngine {
   /// +1 row-polarity pass, 1 = -1; a (band, column) has at most
   /// bits * 2 <= 32 distinct classes) and, on >1-band grids, merges the
   /// band partial sums into `det_sum` before the shared conversion.
-  /// Stochastic readout works per (flip, band) unit out of band-owned
+  /// Stochastic readout works per (flip, band) unit out of the unit
   /// scratch (below); `z` holds the whole evaluation's batched
   /// per-conversion draws (one widened ziggurat fill), `conv_base` the
   /// per-(flip, band) offsets into it in canonical cursor order, and
@@ -141,13 +131,12 @@ class AnalogCrossbarEngine final : public EincEngine {
     /// Per-flip invariants hoisted out of the (flip, band) sweep units:
     /// the column view (ProgrammedArray::column is out of line, so calling
     /// it once per flip instead of once per unit matters on tiled grids)
-    /// and the column-polarity sign q.  Read-only during the sweep, so
-    /// band-parallel workers share them safely.
+    /// and the column-polarity sign q.
     std::vector<ProgrammedArray::ColumnView> flip_view;
     std::vector<int> flip_q;
   };
 
-  /// Per-band stochastic scratch: current sums / squared-multiplier sums
+  /// Stochastic unit scratch: current sums / squared-multiplier sums
   /// packed [bank * 2bits + plane * bits + bit] (4 * bits live lanes) so the
   /// bank-selecting per-cell sweep's inner bit loop is branch-free and
   /// unit-stride -- and so the conversion lane order (polarity pass, then
@@ -156,8 +145,8 @@ class AnalogCrossbarEngine final : public EincEngine {
   /// loop.  `zt` holds the unit's draws de-interleaved from cursor order
   /// into that lane order, `terms` the signed weighted codes.  128 lanes
   /// comfortably cover one unit at the maximum bit width (4 * bits <= 64).
-  /// One instance per row band keeps the band-parallel sweep
-  /// write-disjoint.
+  /// The sweep is serial and every unit rewrites the lanes it reads, so
+  /// one instance serves every (flip, band) unit of an evaluation.
   struct alignas(64) BandScratch {
     double nsum[128];
     double nsq[128];
@@ -184,7 +173,7 @@ class AnalogCrossbarEngine final : public EincEngine {
   double cached_i_on_ = 0.0;
   ReadoutNoise noise_;
   EvalWorkspace workspace_;
-  std::vector<BandScratch> scratch_;  ///< one per row band
+  BandScratch scratch_;
   /// Signed digital weight of each conversion lane of a fully-present unit,
   /// [pass * 2bits + plane * bits + bit] = pass_sign * plane_sign * 2^bit.
   /// Folding the pass polarity into the weights lets the dense path sum

@@ -18,10 +18,6 @@ namespace {
 /// it participates); nested parallel_for calls detect it and run inline.
 thread_local bool tl_in_parallel_region = false;
 
-/// Process-wide serial pin for fork-spawned children (the inherited pool
-/// state has no live threads behind it).  One-way: never cleared.
-std::atomic<bool> g_force_serial{false};
-
 std::vector<std::string> describe_errors(
     const std::vector<std::exception_ptr>& errors) {
   std::vector<std::string> messages;
@@ -221,19 +217,13 @@ void parallel_for(std::size_t count,
   threads = resolved_parallel_threads(count, threads);
 
   // Serial fast path; also taken for nested calls from inside a pool task,
-  // which would otherwise deadlock on the single-job pool, and for forked
-  // shard workers (force_serial_parallelism).
-  if (threads <= 1 || tl_in_parallel_region ||
-      g_force_serial.load(std::memory_order_relaxed)) {
+  // which would otherwise deadlock on the single-job pool.
+  if (threads <= 1 || tl_in_parallel_region) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
 
   ThreadPool::instance().run(count, body, threads);
-}
-
-void force_serial_parallelism() noexcept {
-  g_force_serial.store(true, std::memory_order_relaxed);
 }
 
 }  // namespace fecim::util

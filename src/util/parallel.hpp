@@ -59,12 +59,4 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& bod
 /// (min(threads or worker_threads(), count), at least 1).
 std::size_t resolved_parallel_threads(std::size_t count, std::size_t threads);
 
-/// Irreversibly pin every parallel_for in this process to the inline serial
-/// path.  Fork-spawned shard workers call this first thing: the persistent
-/// pool's threads do not survive fork, so a child that submitted work to the
-/// inherited pool state would block forever.  Serial execution is
-/// bit-identical by construction (fixed per-run seeds, disjoint slots), so
-/// the only cost is losing engine-level band parallelism inside the child.
-void force_serial_parallelism() noexcept;
-
 }  // namespace fecim::util

@@ -114,7 +114,7 @@ constexpr Golden kGoldens[] = {
 TEST(RunDriverRefactor, LegacyAnnealersMatchPreRefactorGoldens) {
   auto graph = problems::gset_like_instance(48, 7);
   const auto instance =
-      core::make_maxcut_instance("golden", std::move(graph));
+      problems::make_maxcut_problem("golden", std::move(graph));
 
   core::StandardSetup setup;
   setup.iterations = 400;

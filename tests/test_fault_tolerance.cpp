@@ -1,7 +1,8 @@
 // Fault-tolerant campaign execution (docs/robustness.md): run lifecycle
 // statuses, deterministic fault injection, cooperative deadlines, retry
-// reseeding, checkpoint/resume bit-identity, and batch isolation in the
-// fecim_solve CLI.
+// reseeding, checkpoint/resume bit-identity, the journal's record codec and
+// its rejection of corrupt records, and batch isolation in the fecim_solve
+// CLI.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/annealer_factory.hpp"
 #include "core/run_journal.hpp"
@@ -436,6 +438,180 @@ TEST(FaultTolerance, ResumeWithoutJournalFileStartsFresh) {
   plain.runs = 3;
   const auto reference = core::run_campaign(*annealer, problem, plain);
   expect_results_equal(reference, result);
+}
+
+// ---------------------------------------------------------------------------
+// Journal record codec and corrupt records on resume
+// ---------------------------------------------------------------------------
+
+core::JournalEntry sample_ok_entry() {
+  core::JournalEntry entry;
+  entry.run = 3;
+  entry.record.seed = 0xDEADBEEFCAFEull;
+  entry.record.status = core::RunStatus::kOk;
+  entry.record.attempt = 2;
+  entry.record.best_energy = -123.4567891234e-3;
+  entry.record.solution.objective = 41.0 / 3.0;  // not exactly representable
+  entry.record.solution.feasible = true;
+  entry.record.solution.violations = 0.0;
+  entry.record.best_spins = {ising::Spin{1}, ising::Spin{-1}, ising::Spin{-1},
+                             ising::Spin{1}};
+  entry.ledger.iterations = 200;
+  entry.ledger.adc_conversions = 4800;
+  entry.ledger.mux_slot_cycles = 600;
+  entry.ledger.row_drives = 123;
+  entry.ledger.column_drives = 456;
+  entry.ledger.bg_dac_updates = 7;
+  entry.ledger.exp_evaluations = 0;
+  entry.ledger.spin_updates = 89;
+  entry.ledger.crossbar_passes = 400;
+  entry.ledger.tile_activations = 32;
+  entry.ledger.partial_sum_updates = 16;
+  return entry;
+}
+
+TEST(JournalCodec, OkEntryRoundTripsBitExactly) {
+  const auto entry = sample_ok_entry();
+  const std::string line = core::encode_journal_entry(entry);
+  core::JournalEntry decoded;
+  ASSERT_TRUE(core::decode_journal_entry(line, decoded));
+  EXPECT_EQ(decoded.run, entry.run);
+  expect_records_equal(decoded.record, entry.record);
+  EXPECT_EQ(decoded.ledger.iterations, entry.ledger.iterations);
+  EXPECT_EQ(decoded.ledger.adc_conversions, entry.ledger.adc_conversions);
+  EXPECT_EQ(decoded.ledger.mux_slot_cycles, entry.ledger.mux_slot_cycles);
+  EXPECT_EQ(decoded.ledger.row_drives, entry.ledger.row_drives);
+  EXPECT_EQ(decoded.ledger.column_drives, entry.ledger.column_drives);
+  EXPECT_EQ(decoded.ledger.bg_dac_updates, entry.ledger.bg_dac_updates);
+  EXPECT_EQ(decoded.ledger.spin_updates, entry.ledger.spin_updates);
+  EXPECT_EQ(decoded.ledger.crossbar_passes, entry.ledger.crossbar_passes);
+  EXPECT_EQ(decoded.ledger.tile_activations, entry.ledger.tile_activations);
+  EXPECT_EQ(decoded.ledger.partial_sum_updates,
+            entry.ledger.partial_sum_updates);
+}
+
+TEST(JournalCodec, FailureStatusesRoundTripWithMessages) {
+  for (auto status :
+       {core::RunStatus::kFailed, core::RunStatus::kTimedOut,
+        core::RunStatus::kCancelled}) {
+    core::JournalEntry entry;
+    entry.run = 1;
+    entry.record.seed = 99;
+    entry.record.status = status;
+    entry.record.attempt = 1;
+    entry.record.error = "message with spaces\tand a tab";
+    entry.record.solution = core::failed_run_solution();
+    core::JournalEntry decoded;
+    ASSERT_TRUE(
+        core::decode_journal_entry(core::encode_journal_entry(entry), decoded));
+    EXPECT_EQ(decoded.run, entry.run);
+    expect_records_equal(decoded.record, entry.record);
+  }
+}
+
+TEST(JournalCodec, TruncatedLinesAreRejectedNotMisread) {
+  // Every strict prefix of a valid line must fail to decode: a torn record
+  // can never install as a shorter-but-plausible one.
+  const std::string line = core::encode_journal_entry(sample_ok_entry());
+  core::JournalEntry decoded;
+  for (std::size_t len = 0; len < line.size(); ++len)
+    EXPECT_FALSE(core::decode_journal_entry(line.substr(0, len), decoded))
+        << "prefix of length " << len << " decoded";
+}
+
+/// A failed-run line whose message-length prefix claims 2^64 - 1 bytes.
+std::string oversized_length_line(std::uint64_t seed) {
+  return "run 0 failed 0 " + std::to_string(seed) +
+         " 18446744073709551615 boom";
+}
+
+TEST(JournalCodec, MessageLengthIsCheckedBeforeAllocating) {
+  // The length prefix must match the bytes left on the line; a corrupt
+  // length fails the decode instead of sizing an allocation from it.
+  core::JournalEntry decoded;
+  EXPECT_FALSE(core::decode_journal_entry(oversized_length_line(5), decoded));
+  EXPECT_FALSE(
+      core::decode_journal_entry("run 0 failed 0 5 2000000000 boom", decoded));
+  EXPECT_FALSE(core::decode_journal_entry("run 0 failed 0 5 5 boom", decoded));
+  EXPECT_FALSE(core::decode_journal_entry("run 0 failed 0 5 3 boom", decoded));
+  ASSERT_TRUE(core::decode_journal_entry("run 0 failed 0 5 4 boom", decoded));
+  EXPECT_EQ(decoded.record.error, "boom");
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+void write_lines(const std::string& path,
+                 const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  for (const auto& line : lines) out << line << "\n";
+}
+
+TEST(FaultTolerance, OversizedMessageLengthIsATornTailOrCorruption) {
+  const auto problem = test_problem();
+  const auto annealer = test_annealer(problem);
+  const auto path = journal_path("oversized");
+
+  core::CampaignConfig config;
+  config.runs = 3;
+  config.journal_path = path;
+  std::remove(path.c_str());
+  const auto uninterrupted = core::run_campaign(*annealer, problem, config);
+  const auto lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 4u);  // header + 3 runs
+  const auto bad = oversized_length_line(uninterrupted.per_run[0].seed);
+
+  core::CampaignConfig resume = config;
+  resume.resume = true;
+
+  // As the final line it is what a dying writer leaves: dropped, and the
+  // run missing from the journal re-executes.
+  write_lines(path, {lines[0], lines[1], lines[2], bad});
+  expect_results_equal(uninterrupted,
+                       core::run_campaign(*annealer, problem, resume));
+
+  // Anywhere earlier it is corruption.
+  write_lines(path, {lines[0], bad, lines[1], lines[2]});
+  EXPECT_THROW(core::run_campaign(*annealer, problem, resume),
+               contract_error);
+}
+
+TEST(FaultTolerance, ResumeRejectsWrongSpinCount) {
+  const auto problem = test_problem();
+  const auto annealer = test_annealer(problem);
+  const auto path = journal_path("spins");
+
+  core::CampaignConfig config;
+  config.runs = 2;
+  config.journal_path = path;
+  std::remove(path.c_str());
+  core::run_campaign(*annealer, problem, config);
+  const auto lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 3u);  // header + 2 runs
+
+  // An ok line ends "<spins> end"; swap in spin strings one spin short of
+  // the model, one spin long, and a 3-spin one.
+  const std::string& line = lines[1];
+  const std::size_t end = line.rfind(" end");
+  const std::size_t start = line.rfind(' ', end - 1) + 1;
+  const std::string spins = line.substr(start, end - start);
+  ASSERT_EQ(spins.size(), problem.model->num_spins());
+  core::CampaignConfig resume = config;
+  resume.resume = true;
+  for (const std::string& wrong :
+       {spins.substr(1), spins + "+", std::string("+-+")}) {
+    auto edited = lines;
+    edited[1] = line.substr(0, start) + wrong + line.substr(end);
+    write_lines(path, edited);
+    EXPECT_THROW(core::run_campaign(*annealer, problem, resume),
+                 contract_error)
+        << wrong.size() << " spins";
+  }
 }
 
 TEST(FaultTolerance, InvalidConfigIsRejected) {

@@ -10,6 +10,7 @@
 #include "core/runner.hpp"
 #include "problems/coloring.hpp"
 #include "problems/generators.hpp"
+#include "problems/instances.hpp"
 #include "problems/knapsack.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/partition.hpp"
@@ -108,7 +109,7 @@ TEST(Integration, SolvesNumberPartitioning) {
 TEST(Integration, PaperShapeAtReducedScale) {
   // Miniature Fig. 8/9/10: dense instance, small budget -- this work wins
   // quality at ~n/|F| lower ADC energy and ~8x lower latency.
-  auto instance = core::make_maxcut_instance(
+  auto instance = problems::make_maxcut_problem(
       "mini", problems::random_graph(256, 24.0,
                                      problems::WeightScheme::kUnit, 17));
   core::StandardSetup setup;
@@ -116,15 +117,15 @@ TEST(Integration, PaperShapeAtReducedScale) {
   core::CampaignConfig config;
   config.runs = 6;
 
-  const auto ours = core::run_maxcut_campaign(
+  const auto ours = core::run_campaign(
       *core::make_annealer(core::AnnealerKind::kThisWork, instance.model,
                            setup),
       instance, config);
-  const auto fpga = core::run_maxcut_campaign(
+  const auto fpga = core::run_campaign(
       *core::make_annealer(core::AnnealerKind::kCimFpga, instance.model,
                            setup),
       instance, config);
-  const auto asic = core::run_maxcut_campaign(
+  const auto asic = core::run_campaign(
       *core::make_annealer(core::AnnealerKind::kCimAsic, instance.model,
                            setup),
       instance, config);
@@ -159,7 +160,7 @@ TEST(Integration, DeviceCalibrationFeedsAnnealer) {
 TEST(Integration, VariationRobustness) {
   // The evaluation's robustness claim: moderate device variation barely
   // moves the success rate.
-  auto instance = core::make_maxcut_instance(
+  auto instance = problems::make_maxcut_problem(
       "robust", problems::random_graph(200, 24.0,
                                        problems::WeightScheme::kUnit, 23));
   core::CampaignConfig config;
@@ -171,11 +172,11 @@ TEST(Integration, VariationRobustness) {
   core::StandardSetup noisy = clean;
   noisy.variation = {0.03, 0.05, 0.0005, 0.0};
 
-  const auto clean_result = core::run_maxcut_campaign(
+  const auto clean_result = core::run_campaign(
       *core::make_annealer(core::AnnealerKind::kThisWork, instance.model,
                            clean),
       instance, config);
-  const auto noisy_result = core::run_maxcut_campaign(
+  const auto noisy_result = core::run_campaign(
       *core::make_annealer(core::AnnealerKind::kThisWork, instance.model,
                            noisy),
       instance, config);

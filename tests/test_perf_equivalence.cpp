@@ -22,12 +22,12 @@
 #include "core/acceptance.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
-#include "core/runner.hpp"
 #include "crossbar/analog_engine.hpp"
 #include "crossbar/ideal_engine.hpp"
 #include "crossbar/reference_kernels.hpp"
 #include "ising/local_field.hpp"
 #include "problems/generators.hpp"
+#include "problems/instances.hpp"
 #include "problems/maxcut.hpp"
 #include "util/parallel.hpp"
 
@@ -316,8 +316,8 @@ TEST(LocalFieldCache, LargeFlipSetsFallBackToRowWalk) {
 // arithmetic dyadic, so equality is exact.
 // ---------------------------------------------------------------------------
 
-core::MaxcutInstance unit_instance(std::size_t n, std::uint64_t seed) {
-  return core::make_maxcut_instance(
+core::ProblemInstance unit_instance(std::size_t n, std::uint64_t seed) {
+  return problems::make_maxcut_problem(
       "equiv", problems::random_graph(n, 6.0, problems::WeightScheme::kUnit,
                                       seed),
       16, seed);

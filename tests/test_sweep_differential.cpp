@@ -12,7 +12,7 @@
 // tests/test_perf_equivalence.cpp and tests/test_tiled_engine.cpp: those
 // freeze known-interesting cases; this one walks the configuration space so
 // a data-parallel rewrite of the sweep (batched draws, lane-major
-// conversion, band-parallel dispatch) cannot quietly change results on a
+// conversion, the shared unit scratch) cannot quietly change results on a
 // shape nobody pinned.  Every configuration derives from a single counter
 // seed, so a failure report ("config 137") reproduces in isolation.
 //

@@ -19,6 +19,7 @@
 #include "crossbar/ideal_engine.hpp"
 #include "crossbar/reference_kernels.hpp"
 #include "problems/generators.hpp"
+#include "problems/instances.hpp"
 #include "problems/maxcut.hpp"
 
 namespace {
@@ -287,8 +288,8 @@ TEST(TiledEngine, NoisyReproduciblePerSeedAndShape) {
 // Annealer- and ledger-level behaviour.
 // ---------------------------------------------------------------------------
 
-core::MaxcutInstance tiled_instance(std::size_t n, std::uint64_t seed) {
-  return core::make_maxcut_instance(
+core::ProblemInstance tiled_instance(std::size_t n, std::uint64_t seed) {
+  return problems::make_maxcut_problem(
       "tiled", problems::random_graph(n, 6.0, problems::WeightScheme::kUnit,
                                       seed),
       16, seed);
@@ -397,9 +398,8 @@ TEST(TiledAnnealer, NoisyCampaignReproduciblePerShape) {
   const core::InSituCimAnnealer annealer(instance.model, config);
   core::CampaignConfig campaign;
   campaign.runs = 4;
-  const auto problem = core::as_problem(instance);
-  const auto first = core::run_campaign(annealer, problem, campaign);
-  const auto second = core::run_campaign(annealer, problem, campaign);
+  const auto first = core::run_campaign(annealer, instance, campaign);
+  const auto second = core::run_campaign(annealer, instance, campaign);
   ASSERT_EQ(first.per_run.size(), second.per_run.size());
   for (std::size_t r = 0; r < first.per_run.size(); ++r) {
     EXPECT_EQ(first.per_run[r].best_energy, second.per_run[r].best_energy);

@@ -25,12 +25,8 @@ dynamics on the same analog array, parallel vs serial replica scaling);
 rows present in the smoke run but absent from the baseline -- the normal
 state right after a schema bump, before the baseline is regenerated -- are
 printed as tracked-not-gated instead of silently skipped.
-Schema v8 adds the "analog-noisy-sharded" campaign kind (the noisy campaign
-across two fork-spawned worker processes vs the in-process pool) plus a
-"workers" topology field on every campaign row.  Sharded speedup mixes fork
-cost with core count -- a host property like replica scaling -- so the kind
-joins the same-host gating set, and tracked rows print their worker
-topology (workers x threads) so cross-host trajectories stay interpretable.
+Tracked rows print their thread count so cross-host trajectories stay
+interpretable.
 A row regresses when BOTH signals drop more than the tolerance below the
 baseline (default 10%, override with FECIM_BENCH_TOLERANCE=0.15 etc.):
 
@@ -105,13 +101,8 @@ def main():
                  and baseline.get("hardware_threads")
                  == smoke.get("hardware_threads"))
     def topology(row):
-        """Worker topology of a campaign row: '2w x 1t' for a sharded row,
-        plain '4t' for an in-process one (workers absent or 0)."""
-        workers = row.get("workers", 0)
-        threads = row.get("threads", "?")
-        if workers:
-            return f"{workers}w x {threads}t"
-        return f"{threads}t"
+        """Thread count of a campaign row, e.g. '4t'."""
+        return f"{row.get('threads', '?')}t"
 
     for row in smoke.get("campaign", []):
         kind = row.get("kind", "analog")
@@ -122,14 +113,13 @@ def main():
                   f"{fmt(campaign_throughput(row))}"
                   " ... tracked, not gated (no baseline row)")
             continue
-        if (kind in ("analog-noisy", "sb-ballistic", "analog-noisy-sharded")
-                and not same_host):
+        if kind in ("analog-noisy", "sb-ballistic") and not same_host:
             # These rows' speedup is a host property -- replica scaling
-            # (threads=N vs threads=1) or process sharding (forked workers
-            # vs in-process) -- not a property of the code, so they gate
-            # only when both files record the same hardware_threads.  On a
-            # different host they would fail spuriously; print them (with
-            # both topologies) for the trajectory instead.
+            # (threads=N vs threads=1) -- not a property of the code, so
+            # they gate only when both files record the same
+            # hardware_threads.  On a different host they would fail
+            # spuriously; print them (with both thread counts) for the
+            # trajectory instead.
             print(f"  campaign n={row['n']} {kind} [{topology(row)}]: speedup "
                   f"{fmt(row['speedup'])} vs {fmt(base['speedup'])} "
                   f"(baseline from a {topology(base)} host)"

@@ -23,12 +23,7 @@
 #   6. smoke the simulated-bifurcation backend (docs/algorithms.md) on two
 #      families plus one greedy warm-started run, asserting the CSV
 #      algorithm column records the dynamics that ran,
-#   7. smoke multi-process sharding (docs/sharding.md): the same campaign at
-#      --workers 1 and --workers 3 must emit byte-identical CSV, a campaign
-#      that loses a worker (--inject-kill-worker) must recover
-#      bit-identically, and a --resume from the journal that recovery wrote
-#      must reproduce the CSV without re-executing any run,
-#   8. smoke the constructive warm starts: --init greedy must run on every
+#   7. smoke the constructive warm starts: --init greedy must run on every
 #      COP family (the greedy/DSatur/density/differencing/NN/descent
 #      heuristics in problems/warm_start.hpp).
 #
@@ -36,9 +31,9 @@
 # includes the mmap LineParser differential in test_instance_io (unaligned
 # tails, empty files, files without a trailing newline).  Under --tsan it
 # runs ThreadSanitizer-instrumented, which covers every util::parallel_for
-# user: replica campaigns, band-parallel sweeps, and the setup loops
-# (reference_cut restarts, programming variation) that test_setup_parallel
-# drives above their size gates.
+# user: replica campaigns and the setup loops (reference_cut restarts,
+# programming variation) that test_setup_parallel drives above their size
+# gates.
 #
 # Usage: tools/check.sh [--full] [--full-bench] [--sanitize] [--tsan]
 #   --full         run the complete ctest suite (every label) instead of
@@ -170,7 +165,9 @@ done
 echo "check.sh: file-backed ingestion smoke OK"
 
 # Fault-tolerance smoke (docs/robustness.md): a journaled campaign resumed
-# from its complete journal reproduces the CSV byte for byte; an injected
+# from its complete journal reproduces the CSV byte for byte -- with failure
+# injection armed on every run, so identical bytes prove every record came
+# from the journal and nothing re-executed; an injected
 # failure degrades the campaign instead of killing it; a batch with one
 # malformed instance exits non-zero but still reports every row.
 ft_journal="build/smoke_journal.txt"
@@ -178,7 +175,8 @@ rm -f "${ft_journal}"
 ./build/tools/fecim_solve --nodes 48 --iterations 400 --runs 4 --threads 2 \
   --journal "${ft_journal}" --csv > build/smoke_ft_run.csv
 ./build/tools/fecim_solve --nodes 48 --iterations 400 --runs 4 --threads 2 \
-  --journal "${ft_journal}" --resume --csv > build/smoke_ft_resume.csv
+  --journal "${ft_journal}" --resume --inject-fail 0,1,2,3 \
+  --csv > build/smoke_ft_resume.csv
 cmp build/smoke_ft_run.csv build/smoke_ft_resume.csv
 ./build/tools/fecim_solve --nodes 48 --iterations 400 --runs 4 --threads 2 \
   --inject-fail 1 --retries 0 --csv | grep -q ",0.750," \
@@ -252,37 +250,6 @@ echo "check.sh: serving smoke OK"
   --iterations 50 --runs 2 --threads 2 --csv >/dev/null \
   || { echo "check.sh: greedy warm-started SB smoke failed" >&2; exit 1; }
 echo "check.sh: solver-dynamics smoke OK"
-
-# Sharded-campaign smoke (docs/sharding.md): fork-based worker processes
-# must be invisible in the results.  FECIM_THREADS=4 on every leg so the
-# hardware-thread cap never bites on small CI hosts (and all legs agree on
-# the CSV threads column).
-shard_dir="build/smoke_shard"
-mkdir -p "${shard_dir}"
-shard_args=(--problem partition --numbers 16 --iterations 400 --runs 5)
-FECIM_THREADS=4 ./build/tools/fecim_solve "${shard_args[@]}" --workers 1 \
-  --csv > "${shard_dir}/w1.csv"
-FECIM_THREADS=4 ./build/tools/fecim_solve "${shard_args[@]}" --workers 3 \
-  --csv > "${shard_dir}/w3.csv"
-cmp "${shard_dir}/w1.csv" "${shard_dir}/w3.csv" \
-  || { echo "check.sh: --workers 1 and --workers 3 CSV differ" >&2; exit 1; }
-# Kill worker 1 mid-campaign: the parent must detect the dead pipe and
-# re-execute the lost runs bit-identically.
-rm -f "${shard_dir}/kill.journal"*
-FECIM_THREADS=4 ./build/tools/fecim_solve "${shard_args[@]}" --workers 3 \
-  --journal "${shard_dir}/kill.journal" --inject-kill-worker 1 \
-  --csv > "${shard_dir}/kill.csv"
-cmp "${shard_dir}/w1.csv" "${shard_dir}/kill.csv" \
-  || { echo "check.sh: kill-worker recovery was not bit-identical" >&2; exit 1; }
-# Resume from the journal that recovery wrote, with failure injection armed
-# on every run: identical CSV proves every record came from the journal and
-# nothing re-executed.
-FECIM_THREADS=4 ./build/tools/fecim_solve "${shard_args[@]}" --workers 3 \
-  --journal "${shard_dir}/kill.journal" --resume --inject-fail 0,1,2,3,4 \
-  --csv > "${shard_dir}/resume.csv"
-cmp "${shard_dir}/w1.csv" "${shard_dir}/resume.csv" \
-  || { echo "check.sh: sharded resume did not reproduce the campaign" >&2; exit 1; }
-echo "check.sh: sharded-campaign smoke OK"
 
 # Warm-start smoke: every family's constructive heuristic through --init
 # greedy (greedy cut, DSatur, density fill, differencing, nearest

@@ -55,12 +55,6 @@
 //   --iterations N       annealing iterations per run        [auto by family]
 //   --runs N             independent Monte-Carlo runs (>= 1) [10]
 //   --threads N          parallel replica workers (0 = all cores)  [0]
-//   --workers N          fork-spawned worker processes sharding the
-//                        campaign (docs/sharding.md); >= 1, capped with a
-//                        warning at the hardware thread count; bit-identical
-//                        to the default in-process pool.  On platforms
-//                        without fork the in-process pool is used and the
-//                        reason printed to stderr          [in-process]
 //   --flips N            spins flipped per iteration (|F|)   [2]
 //   --gain X             acceptance comparator gain          [auto by family]
 //   --bits N             weight quantization bits            [8]
@@ -82,9 +76,6 @@
 //                        campaign result)
 //   --inject-fail LIST   test hook: comma-separated run indices that throw
 //   --inject-hang LIST   test hook: run indices whose deadline pre-expires
-//   --inject-kill-worker LIST  test hook: worker indices that die abruptly
-//                        after their first streamed record (requires
-//                        --workers)
 // family-specific (generated instances only):
 //   --nodes N            maxcut/coloring graph size, qubo variables
 //                        [800 / 16 / 64]
@@ -116,14 +107,12 @@
 
 #include "core/annealer_factory.hpp"
 #include "core/runner.hpp"
-#include "core/shard_runner.hpp"
 #include "crossbar/array_cache.hpp"
 #include "problems/generators.hpp"
 #include "problems/gset_io.hpp"
 #include "problems/instance_io.hpp"
 #include "problems/instances.hpp"
 #include "problems/qubo.hpp"
-#include "util/env.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -145,7 +134,6 @@ struct Options {
   std::size_t iterations = 0;  // 0 = auto
   std::size_t runs = 10;
   std::size_t threads = 0;  // 0 = util::worker_threads()
-  std::size_t workers = 0;  // 0 = in-process pool; >= 1 = forked shards
   std::size_t flips = 2;
   double gain = 0.0;  // 0 = auto (16 unconstrained, 4 constrained)
   int bits = 8;
@@ -162,7 +150,6 @@ struct Options {
   bool resume = false;
   std::vector<std::size_t> inject_fail;
   std::vector<std::size_t> inject_hang;
-  std::vector<std::size_t> inject_kill_worker;
   // Family-specific instance knobs.
   std::size_t nodes = 0;  // 0 = family default
   double degree = 0.0;    // 0 = family default (2.5 coloring, 8 qubo)
@@ -192,11 +179,10 @@ struct Options {
       " [random]\n"
       "  --sb-dt X  --sb-a0 X  --sb-c0 X   SB integrator knobs"
       " (c0 0 = auto)\n"
-      "  --iterations N  --runs N  --threads N  --workers N  --flips N\n"
+      "  --iterations N  --runs N  --threads N  --flips N\n"
       "  --gain X  --bits N  --tile-rows N  --tile-cols N  --seed N  --csv\n"
       "run lifecycle: --success-threshold T --run-timeout S --time-limit S\n"
       "  --retries N --journal PATH --resume --inject-fail L --inject-hang L\n"
-      "  --inject-kill-worker L\n"
       "family-specific: --nodes N --degree X --colors K --items N\n"
       "  --capacity W --numbers N --cities N --penalty A\n",
       argv0);
@@ -312,16 +298,6 @@ bool apply_value_flag(Options& options, const std::string& flag,
   else if (flag == "--iterations") options.iterations = size_arg();
   else if (flag == "--runs") options.runs = size_arg();
   else if (flag == "--threads") options.threads = size_arg();
-  else if (flag == "--workers") {
-    // Unlike --threads there is no "0 = auto" meaning: 0 workers IS the
-    // default in-process pool, so an explicit --workers 0 is a confused
-    // request that deserves a diagnostic, not a silent no-op.
-    const char* text = next();
-    std::size_t value = 0;
-    if (!parse_size_value(text, value) || value == 0)
-      fail(flag, text, "a positive integer");
-    options.workers = value;
-  }
   else if (flag == "--flips") options.flips = size_arg();
   else if (flag == "--gain") options.gain = double_arg(0.0, 1e6);
   else if (flag == "--bits") options.bits = static_cast<int>(size_arg());
@@ -399,9 +375,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--inject-hang")
       options.inject_hang = parse_run_list("--inject-hang",
                                            next("--inject-hang"));
-    else if (arg == "--inject-kill-worker")
-      options.inject_kill_worker = parse_run_list(
-          "--inject-kill-worker", next("--inject-kill-worker"));
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else if (!arg.empty() && arg[0] == '-') usage(argv[0]);
     else options.file = arg;
@@ -433,7 +406,7 @@ Options parse(int argc, char** argv) {
   if (!options.serve.empty()) options.csv = true;
   if ((!options.batch.empty() || !options.serve.empty()) &&
       (!options.journal.empty() || !options.inject_fail.empty() ||
-       !options.inject_hang.empty() || !options.inject_kill_worker.empty())) {
+       !options.inject_hang.empty())) {
     // A journal checkpoints one campaign and injection indexes one
     // campaign's runs; neither is meaningful across a manifest of
     // campaigns.
@@ -454,18 +427,6 @@ Options parse(int argc, char** argv) {
       std::fprintf(stderr,
                    "fecim_solve: --inject-hang index %zu out of range "
                    "(runs = %zu)\n", run, options.runs);
-      std::exit(2);
-    }
-  if (!options.inject_kill_worker.empty() && options.workers == 0) {
-    std::fprintf(stderr,
-                 "fecim_solve: --inject-kill-worker requires --workers\n");
-    std::exit(2);
-  }
-  for (const auto worker : options.inject_kill_worker)
-    if (worker >= options.workers) {
-      std::fprintf(stderr,
-                   "fecim_solve: --inject-kill-worker index %zu out of range "
-                   "(workers = %zu)\n", worker, options.workers);
       std::exit(2);
     }
   return options;
@@ -657,33 +618,6 @@ SolveOutcome solve(const core::ProblemInstance& problem,
   campaign.inject.fail_runs = options.inject_fail;
   campaign.inject.hang_runs = options.inject_hang;
 
-  // Multi-process sharding (docs/sharding.md).  Oversubscribing processes
-  // buys nothing -- each forked worker executes its shard serially -- so
-  // cap at the hardware thread count with a warning; on platforms without
-  // fork, degrade to the (bit-identical) in-process pool and say why.
-  std::size_t workers = options.workers;
-  if (workers > 0) {
-    const std::size_t hardware = util::worker_threads();
-    if (workers > hardware) {
-      std::fprintf(stderr,
-                   "fecim_solve: --workers %zu exceeds the hardware thread "
-                   "count; capping at %zu\n", workers, hardware);
-      workers = hardware;
-    }
-    if (!core::shard_runner_supported()) {
-      std::fprintf(stderr,
-                   "fecim_solve: --workers %zu: this platform cannot fork "
-                   "worker processes; using the in-process pool "
-                   "(bit-identical result)\n", workers);
-      workers = 0;
-    }
-  }
-  campaign.workers = workers;
-  if (workers > 0) {
-    campaign.inject.kill_workers = options.inject_kill_worker;
-    for (auto& worker : campaign.inject.kill_workers)
-      worker = std::min(worker, workers - 1);
-  }
   outcome.result = core::run_campaign(*annealer, problem, campaign);
   // Report the resolved worker count (threads=0 means "all cores"), never
   // the raw config value.
