@@ -147,8 +147,13 @@ AnnealResult InSituCimAnnealer::run(std::uint64_t seed,
   // model/array, so parallel campaigns need no locking.
   std::unique_ptr<crossbar::EincEngine> engine;
   if (analog) {
-    engine = std::make_unique<crossbar::AnalogCrossbarEngine>(array_,
-                                                              config_.analog);
+    auto analog_engine = std::make_unique<crossbar::AnalogCrossbarEngine>(
+        array_, config_.analog);
+    // This loop reports every applied flip set back through
+    // on_flips_applied(), so the engine may keep incremental bank sums
+    // (arrays that cannot prove them exact keep the sweep).
+    analog_engine->enable_incremental_readout();
+    engine = std::move(analog_engine);
   } else {
     auto ideal = std::make_unique<crossbar::IdealCrossbarEngine>(
         *model_, mapping_, crossbar::Accounting::kInSitu, config_.tiles);
@@ -220,10 +225,8 @@ AnnealResult InSituCimAnnealer::run(std::uint64_t seed,
           analog ? 4.0 * ws.field_cache.vmv(*model_, spins, ws.flips)
                  : 4.0 * evaluation.raw_vmv;
       ising::flip_in_place(spins, ws.flips);
-      if (analog)
-        ws.field_cache.apply_flips(*model_, spins, ws.flips);
-      else
-        engine->on_flips_applied(spins, ws.flips);
+      if (analog) ws.field_cache.apply_flips(*model_, spins, ws.flips);
+      engine->on_flips_applied(spins, ws.flips);
       driver.count_accept(ws.flips.size(), evaluation.e_inc > 0.0);
       driver.track_best();
     }

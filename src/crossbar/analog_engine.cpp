@@ -1,5 +1,6 @@
 #include "crossbar/analog_engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -18,77 +19,130 @@ circuit::SarAdcParams resolve_adc_params(const AnalogEngineConfig& config,
   return params;
 }
 
-/// One row-polarity conversion pass over the compacted present slots of a
-/// (flip, band) unit: gather the slot's accumulated current (and squared
-/// sum), apply its batched keyed draw, quantize branch-free, weight by the
-/// slot's signed bit weight, and sum.  Terms are exact integer-valued
-/// doubles (|code| < 2^13 scaled by 2^bit < 2^16), so the 4-lane
-/// exact_integer_sum equals the historical sequential int64 shift-and-add
-/// bit-for-bit.  Kept `noinline` as a vectorization barrier: inlined into
-/// the per-band sweep, GCC's induction-variable rewrite defeats the
-/// gather-based vectorization of the nsum/nsq lookups (same failure mode as
-/// the ziggurat fill pass, see util/rng.cpp).
+/// All conversions of one (flip, band) unit from its 2 * present lanes,
+/// laid out [pass][slot] in cursor order -- the +1 row-polarity pass first,
+/// each pass over the unit's present slots (bit ascending, + plane before
+/// -).  That is also the order of the unit's batched keyed draws, so sums,
+/// squared sums and draws are all read contiguously, and `wgt` holds each
+/// slot's signed digital weight plane_sign * 2^bit.  Returns
+/// sum_slot wgt * code(+1 pass) - sum_slot wgt * code(-1 pass).  Every
+/// term is an exact integer-valued double (|code| < 2^13 scaled by
+/// 2^bit < 2^16), so the four independent lane accumulators reduced
+/// pairwise equal the historical int64 shift-and-add bit-for-bit.  Kept
+/// `noinline` as a vectorization barrier: inlined into the unit loop,
+/// GCC's induction-variable rewrite defeats the vectorization (same
+/// failure mode as the ziggurat fill pass, see util/rng.cpp).
 template <bool kTrackSq>
-__attribute__((noinline)) double convert_pass(
-    const double* FECIM_RESTRICT nsum, const double* FECIM_RESTRICT nsq,
-    const std::uint8_t* FECIM_RESTRICT src, const double* FECIM_RESTRICT wgt,
-    const double* FECIM_RESTRICT z, double* FECIM_RESTRICT terms,
-    std::size_t count, double current_scale, double noise_var_scale,
+__attribute__((noinline)) double convert_unit(
+    const double* FECIM_RESTRICT sum, const double* FECIM_RESTRICT sq,
+    const double* FECIM_RESTRICT z, const double* FECIM_RESTRICT wgt,
+    std::size_t present, double current_scale, double noise_var_scale,
     double adc_variance, double sigma_adc,
     const circuit::SarAdc& adc) noexcept {
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t s = src[i];
-    // Same sigma expression tree as the reference kernel: readout_sigma of
-    // the scaled squared sum, or the bare ADC sigma when read noise is off.
-    const double sigma =
-        kTrackSq ? readout_sigma(noise_var_scale * nsq[s], adc_variance)
-                 : sigma_adc;
-    const double current = current_scale * nsum[s] + sigma * z[i];
-    terms[i] = wgt[i] * adc.convert_ideal_d(current);
-  }
-  return util::exact_integer_sum(terms, count);
-}
-
-/// Both row-polarity conversion passes of a fully-present (flip, band) unit
-/// in one loop.  When every (bit, plane) segment is present the conversion
-/// lane order [pass][plane][bit] coincides with the packed scratch layout
-/// [bank][plane][bit] (the pass selects its bank), so `nsum`/`nsq` are read
-/// contiguously -- no gathers -- and the pass polarity rides in the
-/// precomputed signed lane weights.  The signed weighted codes are exact
-/// integer-valued doubles, so accumulating them into eight independent
-/// vector-lane accumulators (reduced pairwise at the end) equals the
-/// historical per-pass left-to-right sums -- and their int64 shift-and-add
-/// ancestor -- bit-for-bit, while keeping the whole reduction inside the
-/// vectorized loop (no terms store/reload).  `noinline` for the same IVOPTS
-/// vectorization barrier as convert_pass.
-template <bool kTrackSq>
-__attribute__((noinline)) double convert_unit_dense(
-    const double* FECIM_RESTRICT nsum, const double* FECIM_RESTRICT nsq,
-    const double* FECIM_RESTRICT wgt, const double* FECIM_RESTRICT zt,
-    std::size_t lanes, double current_scale, double noise_var_scale,
-    double adc_variance, double sigma_adc,
-    const circuit::SarAdc& adc) noexcept {
-  double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  std::size_t l = 0;
-  for (; l + 8 <= lanes; l += 8) {
-    for (std::size_t m = 0; m < 8; ++m) {
-      const std::size_t i = l + m;
+  double pass_total[2];
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    const double* FECIM_RESTRICT s = sum + pass * present;
+    const double* FECIM_RESTRICT q = sq + pass * present;
+    const double* FECIM_RESTRICT zp = z + pass * present;
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t i = 0;
+    for (; i + 4 <= present; i += 4) {
+      for (std::size_t m = 0; m < 4; ++m) {
+        // Same sigma expression tree as the reference kernel: readout_sigma
+        // of the scaled squared sum, or the bare ADC sigma when read noise
+        // is off.
+        const double sigma =
+            kTrackSq ? readout_sigma(noise_var_scale * q[i + m], adc_variance)
+                     : sigma_adc;
+        const double current = current_scale * s[i + m] + sigma * zp[i + m];
+        acc[m] += wgt[i + m] * adc.convert_ideal_d(current);
+      }
+    }
+    for (std::size_t m = 0; i < present; ++i, ++m) {
       const double sigma =
-          kTrackSq ? readout_sigma(noise_var_scale * nsq[i], adc_variance)
+          kTrackSq ? readout_sigma(noise_var_scale * q[i], adc_variance)
                    : sigma_adc;
-      const double current = current_scale * nsum[i] + sigma * zt[i];
+      const double current = current_scale * s[i] + sigma * zp[i];
       acc[m] += wgt[i] * adc.convert_ideal_d(current);
     }
+    pass_total[pass] = (acc[0] + acc[1]) + (acc[2] + acc[3]);
   }
-  for (std::size_t m = 0; l < lanes; ++l, ++m) {
-    const double sigma =
-        kTrackSq ? readout_sigma(noise_var_scale * nsq[l], adc_variance)
-                 : sigma_adc;
-    const double current = current_scale * nsum[l] + sigma * zt[l];
-    acc[m] += wgt[l] * adc.convert_ideal_d(current);
+  return pass_total[0] - pass_total[1];
+}
+
+/// Accumulates a column's cells [range.begin, range.end) into dense bank
+/// sums packed [bank * 2bits + plane * bits + bit] -- bank 0 holds the rows
+/// whose spin is +1 -- skipping rows marked in `skip`; with `squares`, also
+/// their squared multipliers in units of the array's square grid
+/// (grid_units).  The sums stay in the column's cell order, and the inner
+/// bit loop is branch-free and unit-stride (absent bits store multiplier 0).
+FECIM_ALWAYS_INLINE inline void accumulate_banks(
+    const ProgrammedArray::ColumnView& view,
+    ProgrammedArray::BandCellRange range, const ising::Spin* spins,
+    const std::uint8_t* skip, const float* mults, std::size_t bits,
+    bool squares, double inv_grid, double* FECIM_RESTRICT nsum,
+    double* FECIM_RESTRICT nsq) noexcept {
+  const std::size_t slots = 2 * bits;
+  for (std::size_t i = 0; i < 2 * slots; ++i) nsum[i] = 0.0;
+  if (squares)
+    for (std::size_t i = 0; i < 2 * slots; ++i) nsq[i] = 0.0;
+  for (std::size_t k = range.begin; k < range.end; ++k) {
+    const auto row = view.rows[k];
+    if (skip[row] != 0) continue;
+    // 0/1 selectors times strides, not a selected stride: spins are random
+    // +-1, so a select the compiler turns into a branch mispredicts half
+    // the time.
+    const std::size_t bank = spins[row] > 0 ? 0 : 1;
+    const std::size_t plane = view.magnitudes[k] < 0 ? 1 : 0;
+    const std::size_t offset = bank * slots + plane * bits;
+    const float* FECIM_RESTRICT m = mults + (view.first_entry + k) * bits;
+    double* FECIM_RESTRICT sum = nsum + offset;
+    if (squares) {
+      double* FECIM_RESTRICT sq = nsq + offset;
+      for (std::size_t b = 0; b < bits; ++b) {
+        sum[b] += m[b];
+        sq[b] += grid_units(m[b], inv_grid);
+      }
+    } else {
+      // ADC-noise-only regime (the default config): the squared sums are
+      // never read, so skip half the arithmetic.
+      for (std::size_t b = 0; b < bits; ++b) sum[b] += m[b];
+    }
   }
-  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+/// Index of row `row` among column cells [begin, end) (rows ascend), or
+/// `end` when the column stores no cell there.
+std::uint32_t find_cell(std::span<const std::uint32_t> rows,
+                        std::uint32_t begin, std::uint32_t end,
+                        std::uint32_t row) noexcept {
+  const auto* first = rows.data() + begin;
+  const auto* last = rows.data() + end;
+  const auto* it = std::lower_bound(first, last, row);
+  return it != last && *it == row ? static_cast<std::uint32_t>(it - rows.data())
+                                  : end;
+}
+
+/// Moves one cell into (kAdd) or out of the slot lanes `sum`/`sq` of its
+/// (band, column): slot i, encoded src[i] = plane * bits + bit, gains or
+/// loses the cell's multiplier of that bit (and its grid square unless `sq`
+/// is null) when it lies in the cell's plane, whose encodings start at
+/// `lo`.  On an array with supports_incremental_readout() every result is
+/// an exact subset sum of the segment's cells, so moves commute.
+template <bool kAdd>
+void move_cell(double* FECIM_RESTRICT sum, double* FECIM_RESTRICT sq,
+               std::span<const std::uint8_t> src,
+               const float* FECIM_RESTRICT mults, std::uint32_t lo,
+               std::uint32_t bits, double grid, double inv_grid) noexcept {
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const std::uint32_t b = src[i] - lo;
+    if (b >= bits) continue;  // the other plane's slot
+    const double m = mults[b];
+    sum[i] = kAdd ? sum[i] + m : sum[i] - m;
+    if (sq == nullptr) continue;
+    const double m2 = grid_square(m, grid, inv_grid);
+    sq[i] = kAdd ? sq[i] + m2 : sq[i] - m2;
+  }
 }
 
 }  // namespace
@@ -151,18 +205,93 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
                        (i_on_max_ * band_attenuation_[b]);
   workspace_.flip_mask.assign(array_->mapping().num_spins(), 0);
   workspace_.band_acc.assign(bands.size(), 0.0);
-  const auto bits = static_cast<std::size_t>(array_->couplings().bits());
-  lane_weight_.resize(4 * bits);
-  for (std::size_t pass = 0; pass < 2; ++pass)
-    for (std::size_t plane = 0; plane < 2; ++plane)
-      for (std::size_t b = 0; b < bits; ++b)
-        lane_weight_[pass * 2 * bits + plane * bits + b] =
-            (pass == 0 ? 1.0 : -1.0) * (plane == 0 ? 1.0 : -1.0) *
-            static_cast<double>(std::uint32_t{1} << b);
 }
 
 void AnalogCrossbarEngine::begin_run(std::uint64_t run_seed) {
   noise_ = ReadoutNoise::for_run(run_seed);
+  state_live_ = false;
+}
+
+void AnalogCrossbarEngine::enable_incremental_readout() {
+  if (deterministic_readout_ || !array_->supports_incremental_readout())
+    return;
+  incremental_ = true;
+  state_live_ = false;
+  state_stride_ = array_->variation_params().read_noise_rel > 0.0 ? 4 : 2;
+  state_.assign(state_stride_ * array_->num_slots(), 0.0);
+}
+
+void AnalogCrossbarEngine::build_incremental_state(
+    std::span<const ising::Spin> spins) {
+  // The sweep's accumulation with no flipped rows (the flip mask is clear
+  // when this runs); every sum is exact (supports_incremental_readout), so
+  // a total is the exact sum of its banks.
+  const auto bits = static_cast<std::size_t>(array_->couplings().bits());
+  const std::size_t slots = 2 * bits;
+  const bool squares = state_stride_ == 4;
+  const double grid = array_->square_grid();
+  const double* nsum = scratch_.nsum;
+  const double* nsq = scratch_.nsq;
+  for (std::size_t band = 0; band < array_->num_bands(); ++band) {
+    for (std::size_t j = 0; j < num_spins(); ++j) {
+      const auto src = array_->column_slot_src(band, j);
+      if (src.empty()) continue;
+      accumulate_banks(array_->column(j), array_->column_band_cells(band, j),
+                       spins.data(), workspace_.flip_mask.data(),
+                       array_->multipliers().data(), bits, squares,
+                       1.0 / grid, scratch_.nsum, scratch_.nsq);
+      const std::size_t present = src.size();
+      double* block =
+          state_.data() + state_stride_ * array_->column_slot_begin(band, j);
+      for (std::size_t i = 0; i < present; ++i) {
+        block[i] = nsum[src[i]];
+        block[present + i] = nsum[src[i]] + nsum[slots + src[i]];
+        if (!squares) continue;
+        block[2 * present + i] = nsq[src[i]] * grid;
+        block[3 * present + i] = (nsq[src[i]] + nsq[slots + src[i]]) * grid;
+      }
+    }
+  }
+  state_live_ = true;
+}
+
+void AnalogCrossbarEngine::on_flips_applied(
+    std::span<const ising::Spin> spins_after, const ising::FlipSet& flips) {
+  if (!state_live_) return;
+  FECIM_EXPECTS(spins_after.size() == num_spins());
+  const auto& couplings = array_->couplings();
+  const auto bits = static_cast<std::uint32_t>(couplings.bits());
+  const auto magnitudes = couplings.magnitudes();
+  const float* const mults = array_->multipliers().data();
+  const std::uint16_t* const mirror = array_->mirror_offsets().data();
+  const double grid = array_->square_grid();
+  const double inv_grid = 1.0 / grid;
+  const auto bands = array_->bands();
+  for (const auto f : flips) {
+    FECIM_EXPECTS(f < num_spins());
+    // Row f's cells sit in its band, one in each column j that column f
+    // couples to (symmetric pattern); the mirror offsets locate them.
+    std::size_t band = 0;
+    while (f >= bands[band].row_end) ++band;
+    const bool to_plus = spins_after[f] > 0;
+    const auto view = array_->column(f);
+    for (std::size_t k = 0; k < view.rows.size(); ++k) {
+      const std::uint32_t j = view.rows[k];
+      const std::size_t entry =
+          couplings.column_begin(j) + mirror[view.first_entry + k];
+      const auto src = array_->column_slot_src(band, j);
+      double* block =
+          state_.data() + state_stride_ * array_->column_slot_begin(band, j);
+      double* sq = state_stride_ == 4 ? block + 2 * src.size() : nullptr;
+      const std::uint32_t lo = (magnitudes[entry] < 0 ? 1u : 0u) * bits;
+      if (to_plus)
+        move_cell<true>(block, sq, src, mults + entry * bits, lo, bits, grid,
+                        inv_grid);
+      else
+        move_cell<false>(block, sq, src, mults + entry * bits, lo, bits, grid,
+                         inv_grid);
+    }
+  }
 }
 
 EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
@@ -205,7 +334,17 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   // the reusable mask (contract_error is catchable; a dirty mask would
   // silently corrupt every later evaluation).
   for (const auto f : flips) FECIM_EXPECTS(f < ws.flip_mask.size());
-  for (const auto f : flips) ws.flip_mask[f] = 1;
+  if (incremental_ && !state_live_) build_incremental_state(spins);
+  std::size_t distinct = 0;
+  for (const auto f : flips) {
+    distinct += ws.flip_mask[f] == 0 ? 1 : 0;
+    ws.flip_mask[f] = 1;
+  }
+  if (incremental_ && distinct != flips.size()) {
+    // The incremental readout moves each flipped row out of its bank once.
+    for (const auto f : flips) ws.flip_mask[f] = 0;
+    FECIM_EXPECTS(distinct == flips.size());
+  }
 
   const std::size_t slots = static_cast<std::size_t>(bits) * 2;
 
@@ -348,7 +487,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     }
   } else {
     const auto all_mults = array_->multipliers();
-    // Stochastic readout sweep over independent (flip, band) units.
+    // Stochastic readout over independent (flip, band) units.
     //
     // Serial prelude: ledger accounting, the canonical conversion-index
     // layout (flip-major, then band, then polarity/bit/plane -- exactly the
@@ -356,7 +495,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     // covering every conversion of the evaluation.  Each keyed draw is a
     // pure function of its absolute conversion index, so one evaluation-wide
     // fill equals the historical per-(flip, band) fills element-wise, and
-    // any regrouping of the sweep below sees identical noise.
+    // any regrouping of the units below sees identical noise.
     const std::size_t flip_count = flips.size();
     if (ws.conv_base.size() < flip_count * num_bands)
       ws.conv_base.resize(flip_count * num_bands);
@@ -393,9 +532,11 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     const bool track_sq = read_noise_rel > 0.0;
     const double sigma_adc = adc_.noise_sigma_current();
     const double adc_variance = sigma_adc * sigma_adc;
+    const double square_grid = array_->square_grid();
+    const double inv_square_grid = 1.0 / square_grid;
 
-    // Hot state as raw pointers/locals: the sweep below reads them through
-    // the lambda capture on every unit, and loading them out of the
+    // Hot state as raw pointers/locals: the units below read them through
+    // the lambda captures on every unit, and loading them out of the
     // workspace vectors once keeps the per-unit code free of repeated
     // data-pointer indirections (they are loop-invariant; the compiler
     // cannot hoist them itself past the scratch stores).
@@ -407,79 +548,80 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
     const int* const flip_q = ws.flip_q.data();
     BandScratch& sc = scratch_;
     const double* const batt = band_attenuation_.data();
-    const double* const lane_weight = lane_weight_.data();
     const ising::Spin* const spin_data = spins.data();
 
-    const std::size_t unit_lanes = 2 * slots;  // 4 * bits conversion lanes
-
-    // Cell sweep of one (flip, band) unit into the unit scratch at
-    // lane_base: bank-selecting per-cell walk over the band's contiguous
-    // sub-range of the column's cells against the entry-major multiplier
-    // storage.  The inner bit loop is branch-free and unit-stride (absent
-    // bits store multiplier 0); cells of flipped rows and of the other spin
-    // bank only ever contributed exact +0.0 terms to the historical
-    // select-and-multiply form, so skipping them outright leaves every
-    // (nonnegative) accumulator bit-identical to the filtered per-segment
-    // walk of the reference kernel -- addition order per segment is the
-    // column's cell order either way.  For dense units the unit's batched
-    // draws are also de-interleaved from cursor order [pass][bit][plane]
-    // into conversion lane order [pass][plane][bit] at the same lane_base.
-    const auto sweep_cells = [&](std::size_t band, std::size_t fi,
-                                 std::size_t lane_base,
-                                 bool dense) FECIM_ALWAYS_INLINE {
-      const auto j = flips[fi];
-      const auto& view = flip_view[fi];
-      const auto range = array_->column_band_cells(band, j);
-      double* FECIM_RESTRICT nsum = sc.nsum + lane_base;
-      double* FECIM_RESTRICT nsq = sc.nsq + lane_base;
-      for (std::size_t i = 0; i < 2 * slots; ++i) nsum[i] = 0.0;
+    // Sweep lanes of one (flip, band) unit: the unit's cells accumulated
+    // per bank, then a gather of the present slots into [pass][slot] lanes
+    // (squared sums leave grid units here, exactly).  Cells of flipped rows
+    // and of the other spin bank only ever contributed exact +0.0 terms to
+    // the historical select-and-multiply form, so skipping them outright
+    // leaves every (nonnegative) accumulator bit-identical to the filtered
+    // per-segment walk of the reference kernel.
+    const auto sweep_lanes = [&](std::size_t band, std::size_t fi,
+                                 std::span<const std::uint8_t> src)
+                                 FECIM_ALWAYS_INLINE {
+      accumulate_banks(flip_view[fi], array_->column_band_cells(band, flips[fi]),
+                       spin_data, flip_mask, all_mults.data(),
+                       static_cast<std::size_t>(bits), track_sq,
+                       inv_square_grid, sc.nsum, sc.nsq);
+      const std::size_t present = src.size();
+      for (std::size_t i = 0; i < present; ++i) {
+        sc.lane_sum[i] = sc.nsum[src[i]];
+        sc.lane_sum[present + i] = sc.nsum[slots + src[i]];
+      }
       if (track_sq)
-        for (std::size_t i = 0; i < 2 * slots; ++i) nsq[i] = 0.0;
-      for (std::size_t k = range.begin; k < range.end; ++k) {
-        const auto row = view.rows[k];
-        if (flip_mask[row] != 0) continue;
-        const std::size_t bank = spin_data[row] > 0 ? 0 : 1;
-        const std::size_t plane = view.magnitudes[k] < 0 ? 1 : 0;
-        const float* FECIM_RESTRICT entry_mults =
-            all_mults.data() +
-            (view.first_entry + k) * static_cast<std::size_t>(bits);
-        double* FECIM_RESTRICT sum =
-            nsum + bank * slots + plane * static_cast<std::size_t>(bits);
-        if (track_sq) {
-          double* FECIM_RESTRICT sq =
-              nsq + bank * slots + plane * static_cast<std::size_t>(bits);
-          for (int b = 0; b < bits; ++b) {
-            const double m = entry_mults[b];
-            sum[b] += m;
-            sq[b] += m * m;
-          }
-        } else {
-          // ADC-noise-only regime (the default config): the squared sums
-          // are never read, so skip half the sweep's arithmetic.
-          for (int b = 0; b < bits; ++b) sum[b] += entry_mults[b];
+        for (std::size_t i = 0; i < present; ++i) {
+          sc.lane_sq[i] = sc.nsq[src[i]] * square_grid;
+          sc.lane_sq[present + i] = sc.nsq[slots + src[i]] * square_grid;
+        }
+    };
+
+    // Incremental lanes of one (flip, band) unit: the +1 pass reads the
+    // run's +1-bank sums, the -1 pass the slot totals minus them, and each
+    // other flipped row with a cell in the unit then leaves its bank.
+    // Every value is an exact subset sum of the segment's cells (the array
+    // proved it at program time), so the lanes equal the sweep's bit for
+    // bit.
+    const auto incremental_lanes = [&](std::size_t band, std::size_t fi,
+                                       std::span<const std::uint8_t> src)
+                                       FECIM_ALWAYS_INLINE {
+      const std::size_t present = src.size();
+      const double* FECIM_RESTRICT plus =
+          state_.data() +
+          state_stride_ * array_->column_slot_begin(band, flips[fi]);
+      const double* FECIM_RESTRICT total = plus + present;
+      for (std::size_t i = 0; i < present; ++i) {
+        sc.lane_sum[i] = plus[i];
+        sc.lane_sum[present + i] = total[i] - plus[i];
+      }
+      if (track_sq) {
+        const double* FECIM_RESTRICT plus_sq = plus + 2 * present;
+        const double* FECIM_RESTRICT total_sq = plus + 3 * present;
+        for (std::size_t i = 0; i < present; ++i) {
+          sc.lane_sq[i] = plus_sq[i];
+          sc.lane_sq[present + i] = total_sq[i] - plus_sq[i];
         }
       }
-      if (dense) {
-        const double* z = z_data + conv_base[fi * num_bands + band];
-        for (std::size_t half = 0; half < 2; ++half) {
-          const double* FECIM_RESTRICT zp = z + half * slots;
-          double* FECIM_RESTRICT ztp = sc.zt + lane_base + half * slots;
-          FECIM_LOOP_IVDEP
-          for (int b = 0; b < bits; ++b) {
-            ztp[b] = zp[2 * b];
-            ztp[bits + b] = zp[2 * b + 1];
-          }
-        }
+      const auto& view = flip_view[fi];
+      const auto range = array_->column_band_cells(band, flips[fi]);
+      for (std::size_t other = 0; other < flip_count; ++other) {
+        const auto f = flips[other];
+        if (other == fi || f < bands[band].row_begin ||
+            f >= bands[band].row_end)
+          continue;
+        const std::uint32_t k = find_cell(view.rows, range.begin, range.end, f);
+        if (k == range.end) continue;
+        const std::size_t lane0 = spin_data[f] > 0 ? 0 : present;
+        move_cell<false>(
+            sc.lane_sum + lane0, track_sq ? sc.lane_sq + lane0 : nullptr, src,
+            all_mults.data() +
+                (view.first_entry + k) * static_cast<std::size_t>(bits),
+            view.magnitudes[k] < 0 ? static_cast<std::uint32_t>(bits) : 0,
+            static_cast<std::uint32_t>(bits), square_grid, inv_square_grid);
       }
     };
 
-    // One band end to end: walk the flips in order, sweeping each present
-    // unit and converting it.  A DENSE unit (every (bit, plane) segment
-    // present -- the common case for non-degenerate couplings) converts
-    // both passes in one call: its conversion lane order coincides with the
-    // packed scratch layout (the pass selects its bank), so nsum/nsq/zt are
-    // read contiguously with no gathers, and the pass polarity rides in the
-    // precomputed signed lane weights.  Every weighted-code term, pass sum
+    // Band-major walk over the units.  Every weighted-code term, unit sum
     // and band_acc partial is an exact integer well under 2^53, so any
     // association here matches the historical int64 shift-and-add
     // bit-for-bit.
@@ -488,56 +630,27 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
       const double current_scale_b = i_on * att_b;
       const double noise_scale_b = (read_noise_rel * i_on) * att_b;
       const double noise_var_scale = noise_scale_b * noise_scale_b;
-      std::size_t fi = 0;
-      while (fi < flip_count) {
+      for (std::size_t fi = 0; fi < flip_count; ++fi) {
         const auto j = flips[fi];
-        const std::uint32_t band_present =
-            array_->column_present_segments(band, j);
-        if (band_present == 0) {  // tile stores nothing: no conversion
-          ++fi;
-          continue;
-        }
-        if (band_present == slots) {
-          sweep_cells(band, fi, 0, true);
-          const double both =
-              track_sq ? convert_unit_dense<true>(
-                             sc.nsum, sc.nsq, lane_weight, sc.zt, unit_lanes,
-                             current_scale_b, noise_var_scale, adc_variance,
-                             sigma_adc, adc_)
-                       : convert_unit_dense<false>(
-                             sc.nsum, sc.nsq, lane_weight, sc.zt, unit_lanes,
-                             current_scale_b, noise_var_scale, adc_variance,
-                             sigma_adc, adc_);
-          band_acc[band] += static_cast<double>(flip_q[fi]) * both;
-          ++fi;
-          continue;
-        }
-        // Sparse unit: gather the present slots through the compacted
-        // slot metadata, one pass at a time.
-        sweep_cells(band, fi, 0, false);
-        const int q = flip_q[fi];
-        const double* z = z_data + conv_base[fi * num_bands + band];
         const auto src = array_->column_slot_src(band, j);
-        const auto wgt = array_->column_slot_weights(band, j);
-        for (const int p : {+1, -1}) {  // row-polarity (FG) passes
-          const std::size_t bank = p > 0 ? 0 : 1;
-          const double pass_acc =
-              track_sq ? convert_pass<true>(sc.nsum + bank * slots,
-                                            sc.nsq + bank * slots, src.data(),
-                                            wgt.data(), z, sc.terms,
-                                            band_present, current_scale_b,
-                                            noise_var_scale, adc_variance,
-                                            sigma_adc, adc_)
-                       : convert_pass<false>(sc.nsum + bank * slots,
-                                             sc.nsq + bank * slots, src.data(),
-                                             wgt.data(), z, sc.terms,
-                                             band_present, current_scale_b,
-                                             noise_var_scale, adc_variance,
-                                             sigma_adc, adc_);
-          band_acc[band] += static_cast<double>(p * q) * pass_acc;
-          z += band_present;
-        }
-        ++fi;
+        if (src.empty()) continue;  // tile stores nothing: no conversion
+        if (state_live_)
+          incremental_lanes(band, fi, src);
+        else
+          sweep_lanes(band, fi, src);
+        const double* z = z_data + conv_base[fi * num_bands + band];
+        const double* wgt = array_->column_slot_weights(band, j).data();
+        const double unit =
+            track_sq
+                ? convert_unit<true>(sc.lane_sum, sc.lane_sq, z, wgt,
+                                     src.size(), current_scale_b,
+                                     noise_var_scale, adc_variance, sigma_adc,
+                                     adc_)
+                : convert_unit<false>(sc.lane_sum, sc.lane_sq, z, wgt,
+                                      src.size(), current_scale_b,
+                                      noise_var_scale, adc_variance, sigma_adc,
+                                      adc_);
+        band_acc[band] += static_cast<double>(flip_q[fi]) * unit;
       }
     }
   }

@@ -30,13 +30,25 @@
 //
 // Hot path: deterministic readout walks the array's precomputed per-band
 // segment-class cache (one pass over each distinct segment class
-// accumulates both row polarities); stochastic readout sweeps the cells of
-// each (flip, band) against the entry-major multipliers through the
-// array's compacted conversion slots.  Neither decodes magnitudes per call,
-// and both track flip membership through a reusable per-engine workspace
-// bitmask.  Construction checks that a deterministic configuration meets
-// an array that carries the class cache (arrays programmed with read noise
-// skip it).
+// accumulates both row polarities); stochastic readout fills each
+// (flip, band) unit's conversion lanes, [pass][slot] in cursor order, and
+// converts them in one contiguous kernel.  The lanes come from one of two
+// sources:
+//  * the sweep: the unit's cells against the entry-major multipliers,
+//    bank-selected per cell (every array, and every caller that hands
+//    evaluate() arbitrary spin vectors);
+//  * the incremental readout (opt-in, enable_incremental_readout()): per
+//    run, the total and the +1-bank multiplier and squared sums of every
+//    present (band, column, slot), built from the spins of the first
+//    evaluation; on_flips_applied moves accepted rows between banks.  The
+//    -1 bank is the total minus the +1 bank, after the other flipped rows'
+//    cells leave their bank.  Only arrays whose sums are provably exact
+//    support it (ProgrammedArray::supports_incremental_readout()), so both
+//    sources produce the same bits (PERF.md invariant 10).
+// Neither decodes magnitudes per call, and both track flip membership
+// through a reusable per-engine workspace bitmask.  Construction checks
+// that a deterministic configuration meets an array that carries the class
+// cache (arrays programmed with read noise skip it).
 // Readout noise comes from counter-keyed streams (ReadoutNoise) indexed by
 // the canonical conversion order, batched per (column, tile) through the
 // ziggurat sampler -- no sequential RNG anywhere in the sensing chain.  All
@@ -82,12 +94,40 @@ class AnalogCrossbarEngine final : public EincEngine {
                        const AnalogEngineConfig& config = {});
 
   /// Re-keys the readout noise streams to `run_seed` and resets the
-  /// conversion counter.  Without a call the engine behaves as run 0.
+  /// conversion counter.  Without a call the engine behaves as run 0.  The
+  /// incremental state, when enabled, is rebuilt by the next evaluate().
   void begin_run(std::uint64_t run_seed) override;
 
   EincResult evaluate(std::span<const ising::Spin> spins,
                       const ising::FlipSet& flips,
                       const AnnealSignal& signal) override;
+
+  /// Moves every flipped row's cells to its new bank in the incremental
+  /// state: O(degree * bits) per flipped row.  No-op without the state.
+  void on_flips_applied(std::span<const ising::Spin> spins_after,
+                        const ising::FlipSet& flips) override;
+
+  /// Opt into the incremental stochastic readout.  The caller takes on the
+  /// local-field cache's protocol (engine.hpp): every applied flip set is
+  /// reported through on_flips_applied(), and a wholesale spin rewrite
+  /// needs begin_run() before the next evaluate().  The state is built from
+  /// the spins of the next evaluate().  A no-op for deterministic readout
+  /// and for arrays without supports_incremental_readout(), which keep the
+  /// sweep.
+  void enable_incremental_readout();
+  /// Whether evaluations read the incremental state.
+  bool incremental_readout() const noexcept { return incremental_; }
+  /// The live incremental state; empty before the first evaluate() after
+  /// enable_incremental_readout() or begin_run().  (band, column j) owns
+  /// the block at stride * column_slot_begin(band, j) -- stride 4 with
+  /// read noise, else 2 -- holding, per present slot in cursor order, the
+  /// +1-bank multiplier sums, then the totals, then (with read noise) the
+  /// +1-bank and total squared sums.  Coherence tests compare it with a
+  /// fresh engine's.
+  std::span<const double> incremental_state() const noexcept {
+    return state_live_ ? std::span<const double>(state_)
+                       : std::span<const double>();
+  }
 
   std::size_t num_spins() const noexcept override {
     return array_->mapping().num_spins();
@@ -136,23 +176,24 @@ class AnalogCrossbarEngine final : public EincEngine {
     std::vector<int> flip_q;
   };
 
-  /// Stochastic unit scratch: current sums / squared-multiplier sums
-  /// packed [bank * 2bits + plane * bits + bit] (4 * bits live lanes) so the
-  /// bank-selecting per-cell sweep's inner bit loop is branch-free and
-  /// unit-stride -- and so the conversion lane order (polarity pass, then
-  /// plane, then bit; pass selects its bank) walks the scratch contiguously:
-  /// a fully-present unit converts both passes in one gather-free vector
-  /// loop.  `zt` holds the unit's draws de-interleaved from cursor order
-  /// into that lane order, `terms` the signed weighted codes.  128 lanes
-  /// comfortably cover one unit at the maximum bit width (4 * bits <= 64).
-  /// The sweep is serial and every unit rewrites the lanes it reads, so
-  /// one instance serves every (flip, band) unit of an evaluation.
+  /// Stochastic unit scratch.  The sweep accumulates current sums /
+  /// squared-multiplier sums into `nsum`/`nsq` packed
+  /// [bank * 2bits + plane * bits + bit] (4 * bits <= 64 lanes), so its
+  /// bank-selecting per-cell inner bit loop is branch-free and unit-stride.
+  /// Both lane sources then leave the unit's conversion lanes in
+  /// `lane_sum`/`lane_sq`, [pass][slot] in cursor order (2 * present <=
+  /// 4 * bits lanes), which the conversion kernel reads contiguously next
+  /// to the unit's batched draws.  The sweep is serial and every unit
+  /// rewrites the lanes it reads, so one instance serves every
+  /// (flip, band) unit of an evaluation.
   struct alignas(64) BandScratch {
-    double nsum[128];
-    double nsq[128];
-    double zt[128];
-    double terms[128];
+    double nsum[64];
+    double nsq[64];
+    double lane_sum[64];
+    double lane_sq[64];
   };
+
+  void build_incremental_state(std::span<const ising::Spin> spins);
 
   std::shared_ptr<const ProgrammedArray> array_;
   AnalogEngineConfig config_;
@@ -174,11 +215,12 @@ class AnalogCrossbarEngine final : public EincEngine {
   ReadoutNoise noise_;
   EvalWorkspace workspace_;
   BandScratch scratch_;
-  /// Signed digital weight of each conversion lane of a fully-present unit,
-  /// [pass * 2bits + plane * bits + bit] = pass_sign * plane_sign * 2^bit.
-  /// Folding the pass polarity into the weights lets the dense path sum
-  /// both passes' (exact integer) terms in one reduction.
-  std::vector<double> lane_weight_;
+  /// Incremental readout: enabled on an array that supports it, and
+  /// whether state_ matches the spins the caller holds.
+  bool incremental_ = false;
+  bool state_live_ = false;
+  std::size_t state_stride_ = 2;  ///< doubles per slot, see incremental_state()
+  std::vector<double> state_;
 };
 
 }  // namespace fecim::crossbar

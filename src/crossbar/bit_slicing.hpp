@@ -35,6 +35,8 @@ class QuantizedCouplings {
   /// the stored entries of logical column j as parallel spans.
   std::span<const std::uint32_t> column_rows(std::size_t j) const;
   std::span<const std::int32_t> column_values(std::size_t j) const;
+  /// Global entry index of column j's first stored entry (j <= n).
+  std::size_t column_begin(std::size_t j) const noexcept { return col_ptr_[j]; }
   /// Every stored signed magnitude in column-major entry order; the index
   /// into this span is the global entry index the programmed array keys
   /// its cells by.

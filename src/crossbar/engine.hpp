@@ -114,11 +114,13 @@ class EincEngine {
   /// Cache-coherence protocol: the annealer MUST report every flip set it
   /// actually applies, after applying it to the spin vector, through this
   /// hook (`spins_after` already holds the flipped values).  Engines
-  /// carrying spin-dependent caches -- the ideal engine's local-field cache
-  /// -- resynchronize here in O(sum degree); skipping a report, or reporting
-  /// a set that was not applied, silently corrupts every later evaluation.
-  /// Wholesale spin rewrites (restarts) require a fresh engine or cache
-  /// reset instead.  Default no-op for stateless engines.
+  /// carrying spin-dependent caches -- the ideal engine's local-field cache,
+  /// the analog engine's incremental bank sums -- resynchronize here in
+  /// O(sum degree) (times the bit width for the bank sums); skipping a
+  /// report, or reporting a set that was not applied, silently corrupts
+  /// every later evaluation.  Wholesale spin rewrites (restarts) require a
+  /// fresh engine or cache reset instead.  Default no-op for stateless
+  /// engines.
   virtual void on_flips_applied(std::span<const ising::Spin> spins_after,
                                 const ising::FlipSet& flips) {
     (void)spins_after;

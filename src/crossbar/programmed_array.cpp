@@ -49,15 +49,24 @@ ProgrammedArray::ProgrammedArray(const QuantizedCouplings& couplings,
                          device_params_.transistor.thermal_voltage;
   const auto magnitudes = couplings_.magnitudes();
 
-  // Programs entries [first, last) and returns their faulted bit cells.
-  // The slots of bits a cell does not store are zeroed instead: the
-  // stochastic readout sweep can then accumulate every (cell, bit)
-  // unconditionally -- absent bits contribute exact +0.0 -- which removes
-  // the per-bit presence branch from the hot loop and keeps it
-  // vectorizable.  bit_multiplier() and multipliers() therefore report 0
-  // for absent bits, and absent bits are never counted as faulted.
-  const auto program = [&](std::size_t first, std::size_t last) {
+  // Programs entries [first, last) and returns their faulted bit cells and
+  // the biased float exponent range of the V_TH-sampled multipliers (the
+  // exactness proof's input, scanned here so no array pays a second pass
+  // over its cells; a subnormal records exponent 0).  The slots of bits a
+  // cell does not store are zeroed instead: the stochastic readout sweep
+  // can then accumulate every (cell, bit) unconditionally -- absent bits
+  // contribute exact +0.0 -- which removes the per-bit presence branch from
+  // the hot loop and keeps it vectorizable.  bit_multiplier() and
+  // multipliers() therefore report 0 for absent bits, and absent bits are
+  // never counted as faulted.
+  struct ChunkStats {
     std::size_t faults = 0;
+    std::uint32_t exponent_lo = 0xFF;
+    std::uint32_t exponent_hi = 0;
+  };
+  const auto program = [&](std::size_t first, std::size_t last) {
+    ChunkStats stats;
+    std::size_t& faults = stats.faults;
     for (std::size_t entry = first; entry < last; ++entry) {
       const auto abs_mag =
           static_cast<std::uint32_t>(std::abs(magnitudes[entry]));
@@ -83,11 +92,17 @@ ProgrammedArray::ProgrammedArray(const QuantizedCouplings& couplings,
         }
         if (vth_sigma > 0.0) {
           const double dvth = vth_stream.normal(cell, 0.0, vth_sigma);
-          entry_mults[b] = static_cast<float>(std::exp(-dvth / v_slope));
+          const auto m = static_cast<float>(std::exp(-dvth / v_slope));
+          entry_mults[b] = m;
+          if (m != 0.0F) {
+            const std::uint32_t e = std::bit_cast<std::uint32_t>(m) >> 23;
+            stats.exponent_lo = std::min(stats.exponent_lo, e);
+            stats.exponent_hi = std::max(stats.exponent_hi, e);
+          }
         }
       }
     }
-    return faults;
+    return stats;
   };
 
   // Sampled arrays program in fixed chunks of whole entries, one pool task
@@ -97,19 +112,31 @@ ProgrammedArray::ProgrammedArray(const QuantizedCouplings& couplings,
   // and so do unsampled ones, whose loop only zeroes absent bits.
   const std::size_t chunk_entries = kProgramChunkCells / bits;
   const std::size_t chunks = (entries + chunk_entries - 1) / chunk_entries;
+  ChunkStats stats;
   if (chunks <= 1 || !(roll_faults || vth_sigma > 0.0)) {
-    faulted_ = program(0, entries);
+    stats = program(0, entries);
   } else {
-    std::vector<std::size_t> chunk_faults(chunks);
+    std::vector<ChunkStats> chunk_stats(chunks);
     util::parallel_for(chunks, [&](std::size_t c) {
       const std::size_t first = c * chunk_entries;
-      chunk_faults[c] =
+      chunk_stats[c] =
           program(first, std::min(first + chunk_entries, entries));
     });
-    for (const std::size_t faults : chunk_faults) faulted_ += faults;
+    for (const auto& chunk : chunk_stats) {
+      stats.faults += chunk.faults;
+      stats.exponent_lo = std::min(stats.exponent_lo, chunk.exponent_lo);
+      stats.exponent_hi = std::max(stats.exponent_hi, chunk.exponent_hi);
+    }
+  }
+  faulted_ = stats.faults;
+  // Cells the V_TH loop did not sample hold 1.0f (biased exponent 127):
+  // every cell of an array without V_TH spread, and stuck-on cells.
+  if (entries > 0 && (vth_sigma <= 0.0 || variation_.stuck_on_rate > 0.0)) {
+    stats.exponent_lo = std::min(stats.exponent_lo, 127u);
+    stats.exponent_hi = std::max(stats.exponent_hi, 127u);
   }
 
-  build_column_cache();
+  build_column_cache(stats.exponent_lo, stats.exponent_hi);
 }
 
 TilePlan ProgrammedArray::plan(const circuit::WireTech& wire) const {
@@ -117,7 +144,8 @@ TilePlan ProgrammedArray::plan(const circuit::WireTech& wire) const {
                     device_params_.read_vdl, wire);
 }
 
-void ProgrammedArray::build_column_cache() {
+void ProgrammedArray::build_column_cache(std::uint32_t exponent_lo,
+                                         std::uint32_t exponent_hi) {
   const auto bits = static_cast<std::size_t>(couplings_.bits());
   const std::size_t n = couplings_.num_spins();
   const std::size_t num_bands = bands_.size();
@@ -137,8 +165,10 @@ void ProgrammedArray::build_column_cache() {
   // then interleave the two planes.  Presence ignores the multipliers.
   std::vector<std::uint32_t> present_masks(num_bands * n, 0);
   std::size_t total_slots = 0;
+  std::size_t max_cells = 0;
   for (std::size_t j = 0; j < n; ++j) {
     const auto view = column(j);
+    max_cells = std::max(max_cells, view.rows.size());
     auto* ptr = band_cell_ptr_.data() + j * (num_bands + 1);
     std::uint32_t union_mask = 0;
     std::size_t k = 0;
@@ -189,6 +219,53 @@ void ProgrammedArray::build_column_cache() {
   // Only the deterministic readout reads the class cache, and it requires
   // an array without read noise (see file comment).
   if (variation_.read_noise_rel <= 0.0) build_class_cache(present_masks);
+
+  // A column sums at most max_cells multipliers below 2^(e_max + 1), so
+  // its squares scaled by 2^-(2 (e_max + 1) + width - 53) sum below 2^53
+  // and every grid-rounded squared sum is exact.  Its multipliers are
+  // multiples of 2^(e_min - 23), so their sums need (e_max - e_min) + 24 +
+  // width significant bits: exact in double while that is at most 53.
+  const int width = std::bit_width(max_cells);
+  const int e_max = exponent_lo <= exponent_hi
+                        ? static_cast<int>(exponent_hi) - 127
+                        : 0;
+  square_grid_ = std::ldexp(1.0, 2 * (e_max + 1) + width - 53);
+  inv_square_grid_ = 1.0 / square_grid_;
+  const bool exact_sums =
+      exponent_lo <= exponent_hi && exponent_lo > 0 &&
+      static_cast<int>(exponent_hi - exponent_lo) + width <= 29;
+  if (exact_sums && total_slots > 0 && total_slots <= kIncrementalMaxSlots)
+    build_mirror();
+}
+
+void ProgrammedArray::build_mirror() {
+  // Columns ascending: column r's cell at row j must be the next unmatched
+  // cell of column r when column j is visited, because column r's rows
+  // ascend too.  Any missing mirror leaves a cursor short or mismatched.
+  const std::size_t n = num_columns();
+  const std::uint32_t* const rows = couplings_.column_rows(0).data();
+  std::vector<std::size_t> cursor(n);
+  for (std::size_t r = 0; r < n; ++r) cursor[r] = couplings_.column_begin(r);
+  mirror_.resize(couplings_.nonzeros());
+  bool symmetric = true;
+  for (std::size_t j = 0; j < n && symmetric; ++j) {
+    for (std::size_t e = couplings_.column_begin(j);
+         e < couplings_.column_begin(j + 1); ++e) {
+      const std::uint32_t r = rows[e];
+      const std::size_t c = cursor[r];
+      const std::size_t offset = c - couplings_.column_begin(r);
+      if (r == j || c >= couplings_.column_begin(r + 1) || rows[c] != j ||
+          offset > UINT16_MAX) {
+        symmetric = false;
+        break;
+      }
+      mirror_[e] = static_cast<std::uint16_t>(offset);
+      cursor[r] = c + 1;
+    }
+  }
+  for (std::size_t r = 0; r < n && symmetric; ++r)
+    symmetric = cursor[r] == couplings_.column_begin(r + 1);
+  if (!symmetric) mirror_.clear();
 }
 
 void ProgrammedArray::build_class_cache(
@@ -328,7 +405,8 @@ std::size_t ProgrammedArray::approx_bytes() const noexcept {
          vec_bytes(slot_src_) + vec_bytes(slot_weight_) +
          vec_bytes(slot_ptr_) + vec_bytes(segments_) + vec_bytes(classes_) +
          vec_bytes(class_ptr_) + vec_bytes(cache_rows_) +
-         vec_bytes(cache_mults_) + vec_bytes(class_weights_);
+         vec_bytes(cache_mults_) + vec_bytes(class_weights_) +
+         vec_bytes(mirror_);
 }
 
 }  // namespace fecim::crossbar

@@ -42,6 +42,21 @@
 // over them are bit-identical to decoding magnitudes on the fly (entries
 // stay in ascending intra-column order, and dropped zero-multiplier cells
 // only ever contributed exact +0.0 terms).
+//
+// Exact sums and the incremental readout (PERF.md invariant 10).  Every
+// array fixes one power-of-two grid for squared multipliers
+// (square_grid()): each square is rounded once onto it, fine enough that
+// the squared sum of any column is exact in double.  Programming also
+// tracks the float exponent range of the multipliers, and an array whose
+// multiplier sums are provably exact in double -- (e_max - e_min) +
+// bit_width(max cells per column) <= 29, no subnormals -- with a
+// structurally symmetric, diagonal-free pattern and at most
+// kIncrementalMaxSlots conversion slots also stores each entry's mirror
+// across the diagonal (supports_incremental_readout()).  With exact sums,
+// any subset of a segment's cells can be read as a total minus its
+// complement, in any order, which is what lets AnalogCrossbarEngine keep
+// per-run bank sums and update them on accepted flips instead of
+// re-sweeping cells.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +73,24 @@
 
 namespace fecim::crossbar {
 
+/// m^2 in units of a power-of-two grid whose reciprocal is `inv_grid`,
+/// rounded to the nearest integer (ties to even): m^2 scaled onto the grid
+/// stays below 2^52 by the grid's choice, where adding and removing 2^52
+/// rounds exactly.
+inline double grid_units(double m, double inv_grid) noexcept {
+  constexpr double kRound = 0x1p52;
+  return (m * m * inv_grid + kRound) - kRound;
+}
+
+/// m^2 rounded to the nearest multiple of `grid` = 1 / inv_grid.  The one
+/// definition of a cell's squared multiplier behind every readout sigma:
+/// the engine's sweep, its incremental state and the reference kernel all
+/// use it with the array's square_grid().  Sums of these values are exact,
+/// so a sum of grid_units() scaled by the grid once is the same double.
+inline double grid_square(double m, double grid, double inv_grid) noexcept {
+  return grid_units(m, inv_grid) * grid;
+}
+
 class ProgrammedArray {
  public:
   /// Programming samples variation in chunks of whole entries spanning at
@@ -67,6 +100,13 @@ class ProgrammedArray {
   /// in the tail, which would dominate a small array's sampling (PERF.md,
   /// "The setup path").
   static constexpr std::size_t kProgramChunkCells = std::size_t{1} << 16;
+
+  /// Size rule of the incremental readout: arrays with more conversion
+  /// slots (present (band, column, bit, plane) segments) keep the per-cell
+  /// sweep and store no mirror offsets.  Each live run holds 16-32 B per
+  /// slot, and past this size the scattered per-slot state reads cost more
+  /// than the sweep saves (measured crossover in PERF.md invariant 10).
+  static constexpr std::size_t kIncrementalMaxSlots = std::size_t{1} << 14;
 
   ProgrammedArray(const QuantizedCouplings& couplings,
                   const CrossbarMapping& mapping,
@@ -198,6 +238,45 @@ class ProgrammedArray {
     return {slot_weight_.data() + slot_ptr_[slot],
             slot_ptr_[slot + 1] - slot_ptr_[slot]};
   }
+  /// Index of (band, column j)'s first slot in the array-wide compacted
+  /// slot order (band-major, then column, then cursor order), for per-slot
+  /// state kept outside the array.
+  std::uint32_t column_slot_begin(std::size_t band, std::size_t j) const {
+    return slot_ptr_[band * num_columns() + j];
+  }
+  /// Conversion slots of the whole array, summed over (band, column).
+  std::size_t num_slots() const noexcept { return slot_src_.size(); }
+
+  // -------------------------------------------------------------------------
+  // Exact sums and the incremental readout (see file comment).
+  // -------------------------------------------------------------------------
+
+  /// Power-of-two grid every squared multiplier is rounded onto
+  /// (grid_square), 2^(2 (e_max + 1) + bit_width(max cells per column) -
+  /// 53): the finest grid on which every column's squared sum stays exact.
+  double square_grid() const noexcept { return square_grid_; }
+  /// grid_square(m, square_grid(), 1 / square_grid()).
+  double squared_multiplier(double m) const noexcept {
+    return grid_square(m, square_grid_, inv_square_grid_);
+  }
+
+  /// Whether an engine may keep incremental bank sums over the array: the
+  /// multiplier sums are provably exact, the pattern is symmetric without
+  /// diagonal cells, and the array has at most kIncrementalMaxSlots slots.
+  /// Only such arrays store mirror_offsets().
+  bool supports_incremental_readout() const noexcept {
+    return !mirror_.empty();
+  }
+  /// Where each entry's mirror cell sits: entry (row r, column j) maps to
+  /// the cell (row j, column r), which the symmetric pattern guarantees, at
+  /// index mirror_offsets()[entry] of column r's cells (column() order).
+  /// Lets an accepted flip of row f reach its cell in every column j
+  /// through column f's entries, without a search.  Two bytes per entry: a
+  /// column of an array under the size rule has at most
+  /// kIncrementalMaxSlots cells.  Empty unless supports_incremental_readout().
+  std::span<const std::uint16_t> mirror_offsets() const noexcept {
+    return mirror_;
+  }
 
   // -------------------------------------------------------------------------
   // Segment-class cache (arrays programmed without read noise only; one
@@ -274,14 +353,19 @@ class ProgrammedArray {
 
   /// Approximate heap footprint of the programmed array (cell multipliers,
   /// coupling copy, per-band sweep metadata and, when built, the class
-  /// cache) -- the unit the array cache's byte budget accounts in
-  /// (crossbar/array_cache.hpp).
+  /// cache and the mirror offsets) -- the unit the array cache's byte
+  /// budget accounts in (crossbar/array_cache.hpp).
   std::size_t approx_bytes() const noexcept;
 
  private:
   std::size_t num_columns() const noexcept { return couplings_.num_spins(); }
-  void build_column_cache();
+  /// `exponent_lo`/`exponent_hi`: biased float exponent range of the
+  /// nonzero multipliers (lo = 0 flags a subnormal; lo > hi: none).
+  void build_column_cache(std::uint32_t exponent_lo, std::uint32_t exponent_hi);
   void build_class_cache(std::span<const std::uint32_t> present_masks);
+  /// Fills mirror_, or leaves it empty when the pattern is not symmetric
+  /// without diagonal cells.
+  void build_mirror();
 
   QuantizedCouplings couplings_;
   CrossbarMapping mapping_;
@@ -311,6 +395,9 @@ class ProgrammedArray {
   std::vector<std::uint32_t> cache_rows_;  // band-relative rows
   std::vector<float> cache_mults_;
   std::vector<double> class_weights_;      // aligned with classes_
+  double square_grid_ = 1.0;
+  double inv_square_grid_ = 1.0;
+  std::vector<std::uint16_t> mirror_;  // per entry, see mirror_offsets()
 };
 
 }  // namespace fecim::crossbar

@@ -39,7 +39,9 @@ namespace fecim::crossbar::reference {
 ///  * stochastic readout (read noise or ADC noise on): one genuine
 ///    conversion -- one keyed draw, one quantization, per-tile calibration
 ///    by that band's attenuation -- per present (band, bit, plane) segment
-///    and polarity pass;
+///    and polarity pass; the read-noise sigma sums the cells' squared
+///    multipliers rounded onto the array's grid
+///    (ProgrammedArray::squared_multiplier);
 ///  * deterministic readout: the per-tile partial sums merge digitally and
 ///    the shared quantizer runs once per logical segment at the
 ///    logical-array calibration point, so the result is partition-invariant
@@ -137,7 +139,8 @@ inline EincResult analog_evaluate(const ProgrammedArray& array,
             mult_sum[static_cast<std::size_t>(b)]
                     [static_cast<std::size_t>(plane)] += m;
             mult_sq_sum[static_cast<std::size_t>(b)]
-                       [static_cast<std::size_t>(plane)] += m * m;
+                       [static_cast<std::size_t>(plane)] +=
+                array.squared_multiplier(m);
           }
         }
 

@@ -16,6 +16,11 @@ enum class WeightScheme {
   kPlusMinusOne  ///< edges +1 or -1 with equal probability (G22+ style)
 };
 
+/// Whether random_graph(n, avg_degree, ...) can place its edges: n >= 2 and
+/// round(n * avg_degree / 2) <= n (n - 1) / 2.  Callers that take sizes from
+/// users check it before generating.
+bool random_graph_fits(std::size_t n, double avg_degree) noexcept;
+
 /// Erdos-Renyi-like random graph with a target average degree; the generator
 /// samples exactly round(n * avg_degree / 2) distinct edges.
 Graph random_graph(std::size_t n, double avg_degree, WeightScheme weights,
@@ -37,5 +42,9 @@ Graph toroidal_grid(std::size_t rows, std::size_t cols, WeightScheme weights,
 /// and 2000-node groups are random graphs (Gset densities); 3000-node groups
 /// are toroidal grids with known optimum.
 Graph gset_like_instance(std::size_t nodes, std::uint64_t seed);
+
+/// Average degree of gset_like_instance(nodes)'s random graph, or 0 for the
+/// toroidal-grid class, which has a fixed size.
+double gset_like_degree(std::size_t nodes) noexcept;
 
 }  // namespace fecim::problems

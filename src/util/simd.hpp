@@ -4,33 +4,21 @@
 // scalar code over contiguous lane-major arrays, shaped so the compiler's
 // auto-vectorizer proves them safe (no loop-carried FP dependence, no
 // calls, branchless selects), and these macros only *remove obstacles* --
-// aliasing ambiguity and, where an explicit promise is needed,
-// iteration-independence.  No intrinsics, no OpenMP (`#pragma omp simd`
-// would drag in a runtime dependency), no per-ISA code paths: the same
-// source compiles on any target and merely runs wider where the ISA allows.
-// Build with -fopt-info-vec (GCC) to audit which loops actually vectorize;
-// CMake's FECIM_NATIVE_ARCH=ON (default) supplies the host ISA.
+// aliasing ambiguity and out-of-line calls in per-unit hot paths.  No
+// intrinsics, no OpenMP (`#pragma omp simd` would drag in a runtime
+// dependency), no per-ISA code paths: the same source compiles on any
+// target and merely runs wider where the ISA allows.  Build with
+// -fopt-info-vec (GCC) to audit which loops actually vectorize; CMake's
+// FECIM_NATIVE_ARCH=ON (default) supplies the host ISA.
 //
-// Bit-exactness: every loop carrying these annotations must remain
+// Bit-exactness: every loop these annotations touch must remain
 // bit-identical when vectorized.  That is guaranteed only because the
 // project (a) pins -ffp-contract=off globally (no FMA re-rounding), and
 // (b) never asks the vectorizer to reassociate an FP reduction -- lane
-// accumulators are independent array elements, and genuine reductions over
-// exact integers use util-level helpers whose association is value-free.
+// accumulators are independent array elements, and the only reductions
+// regrouped by hand sum exact integer-valued doubles, whose association is
+// value-free.
 #pragma once
-
-#include <cstddef>
-
-#if defined(__GNUC__) && !defined(__clang__)
-/// Promise the compiler the following loop has no loop-carried
-/// dependences it must prove (GCC).  Use only on loops whose iterations
-/// are independent by construction.
-#define FECIM_LOOP_IVDEP _Pragma("GCC ivdep")
-#elif defined(__clang__)
-#define FECIM_LOOP_IVDEP _Pragma("clang loop vectorize(assume_safety)")
-#else
-#define FECIM_LOOP_IVDEP
-#endif
 
 #if defined(__GNUC__) || defined(__clang__)
 /// Non-aliasing pointer qualifier for kernel-local spans.
@@ -44,25 +32,3 @@
 #define FECIM_RESTRICT
 #define FECIM_ALWAYS_INLINE
 #endif
-
-namespace fecim::util {
-
-/// Sum of `n` doubles whose values are exact integers (|total| < 2^53):
-/// every association yields the same bits, so the four-lane unrolling here
-/// -- which breaks the serial addsd dependence chain -- is value-identical
-/// to a left-to-right fold.  Do NOT use on general FP data.
-inline double exact_integer_sum(const double* FECIM_RESTRICT v,
-                                std::size_t n) noexcept {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += v[i];
-    a1 += v[i + 1];
-    a2 += v[i + 2];
-    a3 += v[i + 3];
-  }
-  for (; i < n; ++i) a0 += v[i];
-  return (a0 + a1) + (a2 + a3);
-}
-
-}  // namespace fecim::util

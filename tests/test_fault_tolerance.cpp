@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -687,6 +688,69 @@ TEST(FaultTolerance, BatchIsolatesMalformedInstances) {
   }
   EXPECT_TRUE(good_ok) << "surviving batch row missing from CSV";
   EXPECT_TRUE(bad_failed) << "failed batch row missing from CSV";
+}
+
+/// Runs `args` through fecim_solve with stdout sent to `out_path`; returns
+/// the exit status and leaves stderr in `err`.
+int run_solver(const std::string& args, std::string& err,
+               const std::string& out_path = "/dev/null") {
+  const std::string err_path = testing::TempDir() + "/fecim_solver_err.txt";
+  const std::string command = std::string(FECIM_SOLVE_PATH) + " " + args +
+                              " > " + out_path + " 2> " + err_path;
+  const int status = std::system(command.c_str());
+  std::ifstream in(err_path);
+  err.assign(std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>());
+  return status;
+}
+
+TEST(FaultTolerance, UndersizedGeneratedGraphsAreRejectedBeforeGenerating) {
+  std::ifstream probe(FECIM_SOLVE_PATH);
+  if (!probe.good()) GTEST_SKIP() << "fecim_solve binary not built";
+  probe.close();
+
+  // Each used to stop on random_graph's edge-budget precondition.
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {{"--nodes 12", "--nodes 12"},
+               {"--problem coloring --nodes 3", "--nodes 3"},
+               {"--problem coloring --nodes 6 --degree 6", "--degree 6"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.args);
+    std::string err;
+    const int status = run_solver(c.args, err);
+    ASSERT_NE(status, -1);
+    EXPECT_NE(status, 0);
+    EXPECT_NE(err.find(c.flag), std::string::npos) << err;
+    EXPECT_EQ(err.find("precondition"), std::string::npos) << err;
+  }
+
+  // Job lines fail at parse time with their line, and the stream goes on.
+  const std::string jobs = testing::TempDir() + "/fecim_small_jobs.txt";
+  {
+    std::ofstream f(jobs);
+    f << "maxcut - small --nodes 12\n";
+    f << "coloring - dense --nodes 6 --degree 6\n";
+    f << "maxcut - fine --nodes 13 --iterations 50 --runs 1\n";
+  }
+  std::string err;
+  const std::string csv = testing::TempDir() + "/fecim_small_jobs.csv";
+  const int status = run_solver("--serve " + jobs, err, csv);
+  EXPECT_NE(status, 0);
+  EXPECT_NE(err.find(":1: --nodes 12"), std::string::npos) << err;
+  EXPECT_NE(err.find(":2: --degree 6"), std::string::npos) << err;
+  EXPECT_EQ(err.find("precondition"), std::string::npos) << err;
+  std::ifstream in(csv);
+  std::string line;
+  std::size_t failed = 0;
+  bool fine_ok = false;
+  while (std::getline(in, line)) {
+    failed += line.size() >= 7 && line.rfind(",failed") == line.size() - 7;
+    fine_ok |= line.rfind("fine,", 0) == 0 && line.rfind(",ok") == line.size() - 3;
+  }
+  EXPECT_EQ(failed, 2u);
+  EXPECT_TRUE(fine_ok);
 }
 #endif  // FECIM_SOLVE_PATH
 

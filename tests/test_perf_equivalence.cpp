@@ -667,6 +667,23 @@ TEST(ZeroAllocationLoop, InSituAnalog) {
   });
 }
 
+TEST(ZeroAllocationLoop, InSituAnalogIncrementalReadout) {
+  // Variation, read noise and a tiled grid: the per-run incremental state
+  // is built on the first evaluation and updated in place afterwards.
+  const auto instance = unit_instance(64, 94);
+  expect_iteration_free_allocations([&](std::size_t iterations) {
+    core::InSituConfig config;
+    config.iterations = iterations;
+    config.flips_per_iteration = 3;
+    config.variation = {0.03, 0.02, 0.0, 0.0};
+    config.tiles = crossbar::TileShape{16, 0};
+    auto annealer =
+        std::make_unique<core::InSituCimAnnealer>(instance.model, config);
+    EXPECT_TRUE(annealer->array()->supports_incremental_readout());
+    return annealer;
+  });
+}
+
 TEST(ZeroAllocationLoop, InSituIdealRandomSelection) {
   const auto instance = unit_instance(64, 92);
   expect_iteration_free_allocations([&](std::size_t iterations) {

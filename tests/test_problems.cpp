@@ -133,6 +133,22 @@ TEST(Generators, GsetLikeFamilies) {
   EXPECT_TRUE(toroidal.is_bipartite());
 }
 
+TEST(Generators, RandomGraphFitsMatchesTheEdgeBudget) {
+  // round(n * d / 2) edges must fit among n (n - 1) / 2 pairs.
+  EXPECT_FALSE(fecim::problems::random_graph_fits(12, 12.0));  // 72 > 66
+  EXPECT_TRUE(fecim::problems::random_graph_fits(13, 12.0));   // 78 = 78
+  EXPECT_FALSE(fecim::problems::random_graph_fits(3, 2.5));    // 4 > 3
+  EXPECT_FALSE(fecim::problems::random_graph_fits(6, 6.0));    // 18 > 15
+  EXPECT_FALSE(fecim::problems::random_graph_fits(1, 0.5));
+  EXPECT_TRUE(fecim::problems::random_graph_fits(4, 2.5));
+  EXPECT_THROW((void)fecim::problems::random_graph(
+                   12, 12.0, fecim::problems::WeightScheme::kUnit, 1),
+               fecim::contract_error);
+  EXPECT_EQ(fecim::problems::gset_like_degree(12), 12.0);
+  EXPECT_EQ(fecim::problems::gset_like_degree(800), 48.0);
+  EXPECT_EQ(fecim::problems::gset_like_degree(3000), 0.0);
+}
+
 TEST(GsetIo, RoundTrip) {
   Graph g(5);
   g.add_edge(0, 1, 1.0);

@@ -16,6 +16,15 @@
 // shape nobody pinned.  Every configuration derives from a single counter
 // seed, so a failure report ("config 137") reproduces in isolation.
 //
+// A second layer drives annealing-style sequences -- evaluate a flip set,
+// apply some, report each applied set -- through three readouts at once:
+// the engine with the incremental readout (PERF.md invariant 10), the
+// stateless sweep, and the reference kernel.  All three must agree bit for
+// bit on e_inc, the ledger and the cursor after every step, for |F| in
+// [1, 4], neighbouring and unrelated flips, and random tilings.  Two gate
+// cases pin the arrays that must stay on the sweep and store nothing extra:
+// one that fails the exactness proof and one above the size rule.
+//
 // Labeled `differential` (and excluded from the tier-1 fast loop) in
 // CMakeLists.txt; tools/check.sh --sanitize runs it under ASan+UBSan.
 #include <gtest/gtest.h>
@@ -177,6 +186,179 @@ TEST(SweepDifferential, EngineMatchesReferenceAcrossRandomizedConfigs) {
       return;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental readout vs stateless sweep vs reference along sequences.
+// ---------------------------------------------------------------------------
+
+struct Programmed {
+  std::shared_ptr<const ising::IsingModel> model;
+  std::shared_ptr<const crossbar::ProgrammedArray> array;
+  core::InSituConfig config;
+};
+
+Programmed program(const DifferentialConfig& cfg, double degree) {
+  Programmed p;
+  p.model = std::make_shared<const ising::IsingModel>(
+      problems::maxcut_to_ising(problems::random_graph(
+          cfg.n, std::min(static_cast<double>(cfg.n - 1), degree),
+          cfg.weights, cfg.graph_seed)));
+  p.config.mapping.bits = cfg.bits;
+  p.config.analog.adc.noise_lsb_rms = cfg.adc_noise_lsb;
+  const crossbar::QuantizedCouplings quantized(p.model->couplings(),
+                                               cfg.bits);
+  const crossbar::CrossbarMapping mapping(p.model->num_spins(),
+                                          quantized.has_negative() ? 2 : 1,
+                                          p.config.mapping);
+  p.array = std::make_shared<const crossbar::ProgrammedArray>(
+      quantized, mapping, p.config.device, cfg.variation, cfg.array_seed,
+      cfg.tiles);
+  return p;
+}
+
+/// |F| in [1, 4]; a neighbour walk half the time (flipped rows inside each
+/// other's columns, where the incremental readout subtracts cells), a
+/// uniform pick otherwise.
+ising::FlipSet propose(const ising::IsingModel& model, util::Rng& rng) {
+  const std::size_t n = model.num_spins();
+  const std::size_t t = 1 + rng.uniform_index(std::min<std::size_t>(4, n));
+  const bool walk = rng.bernoulli(0.5);
+  ising::FlipSet flips;
+  while (flips.size() < t) {
+    auto next = static_cast<std::uint32_t>(rng.uniform_index(n));
+    if (walk && !flips.empty()) {
+      const auto neighbors = model.couplings().row_cols(flips.back());
+      if (!neighbors.empty() && rng.bernoulli(0.8))
+        next = neighbors[rng.uniform_index(neighbors.size())];
+    }
+    if (std::find(flips.begin(), flips.end(), next) == flips.end())
+      flips.push_back(next);
+  }
+  return flips;
+}
+
+/// Runs `steps` evaluate/apply steps through the three readouts and
+/// returns whether the first engine actually read incremental state.
+bool run_sequence(const Programmed& p, std::uint64_t run_seed, int steps) {
+  const auto& array = p.array;
+  crossbar::AnalogCrossbarEngine incremental(array, p.config.analog);
+  crossbar::AnalogCrossbarEngine sweep(array, p.config.analog);
+  incremental.enable_incremental_readout();
+  incremental.begin_run(run_seed);
+  sweep.begin_run(run_seed);
+  auto noise_ref = crossbar::ReadoutNoise::for_run(run_seed);
+  const double i_on_max = array->on_current(array->device_params().vbg_max);
+
+  util::Rng rng(run_seed ^ 0x5e9ULL);
+  auto spins = ising::random_spins(p.model->num_spins(), rng);
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const auto flips = propose(*p.model, rng);
+    const crossbar::AnnealSignal signal{
+        rng.uniform01(), rng.uniform(0.3, array->device_params().vbg_max)};
+    const auto a = incremental.evaluate(spins, flips, signal);
+    const auto b = sweep.evaluate(spins, flips, signal);
+    const auto r = crossbar::reference::analog_evaluate(
+        *array, sweep.adc(), sweep.ir_attenuation(), sweep.band_attenuations(),
+        i_on_max, spins, flips, signal, noise_ref);
+    for (const auto* other : {&b, &r}) {
+      EXPECT_EQ(a.e_inc, other->e_inc);
+      EXPECT_EQ(a.raw_vmv, other->raw_vmv);
+      EXPECT_EQ(a.trace.adc_conversions, other->trace.adc_conversions);
+      EXPECT_EQ(a.trace.partial_sum_updates, other->trace.partial_sum_updates);
+      EXPECT_EQ(a.trace.tile_activations, other->trace.tile_activations);
+      EXPECT_EQ(a.trace.mux_slot_cycles, other->trace.mux_slot_cycles);
+    }
+    EXPECT_EQ(incremental.readout_noise().next_conversion,
+              noise_ref.next_conversion);
+    EXPECT_EQ(sweep.readout_noise().next_conversion,
+              noise_ref.next_conversion);
+    if (::testing::Test::HasFailure()) return false;
+    if (rng.bernoulli(0.35)) {
+      ising::flip_in_place(spins, flips);
+      incremental.on_flips_applied(spins, flips);
+      sweep.on_flips_applied(spins, flips);
+    }
+  }
+  return incremental.incremental_readout();
+}
+
+TEST(SweepDifferential, IncrementalMatchesSweepAndReferenceAlongSequences) {
+  constexpr std::uint64_t kSequenceConfigs = 120;
+  std::size_t incremental_configs = 0;
+  for (std::uint64_t index = 0; index < kSequenceConfigs; ++index) {
+    // Stochastic regimes only (the deterministic readout never keeps
+    // state), and V_TH spreads the exactness proof can cover.
+    auto cfg = make_config(4 * index + 1 + index % 3);
+    cfg.variation.vth_sigma = std::min(cfg.variation.vth_sigma, 0.04);
+    SCOPED_TRACE(::testing::Message()
+                 << "sequence config " << index << " n=" << cfg.n
+                 << " bits=" << cfg.bits << " tiles.rows=" << cfg.tiles.rows);
+    const auto p = program(cfg, 8.0);
+    if (run_sequence(p, cfg.run_seed, 40)) ++incremental_configs;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The schedule must actually exercise the incremental path.
+  EXPECT_GT(incremental_configs, kSequenceConfigs * 9 / 10);
+}
+
+/// Bytes an incremental array stores beyond the sweep metadata: one mirror
+/// offset per entry.
+std::size_t incremental_extra_bytes(const crossbar::ProgrammedArray& array) {
+  return array.num_programmed_entries() * sizeof(std::uint16_t);
+}
+
+DifferentialConfig gate_config(std::size_t n, crossbar::TileShape tiles,
+                               double vth_sigma) {
+  DifferentialConfig cfg;
+  cfg.n = n;
+  cfg.bits = 8;
+  cfg.weights = problems::WeightScheme::kUnit;
+  cfg.tiles = tiles;
+  cfg.variation = {vth_sigma, 0.02, 0.0, 0.0};
+  cfg.adc_noise_lsb = 0.5;
+  cfg.graph_seed = 21;
+  cfg.array_seed = 22;
+  cfg.run_seed = 23;
+  return cfg;
+}
+
+TEST(SweepDifferential, ArrayFailingTheExactnessProofKeepsTheSweep) {
+  const auto exact = program(gate_config(120, {}, 0.03), 10.0);
+  const auto wide = program(gate_config(120, {}, 0.08), 10.0);
+  ASSERT_TRUE(exact.array->supports_incremental_readout());
+  ASSERT_FALSE(wide.array->supports_incremental_readout());
+  EXPECT_TRUE(wide.array->mirror_offsets().empty());
+  // Same couplings, mapping and tiles: the two arrays differ exactly by
+  // the incremental extras, which approx_bytes() counts.
+  EXPECT_EQ(exact.array->approx_bytes(),
+            wide.array->approx_bytes() + incremental_extra_bytes(*exact.array));
+
+  crossbar::AnalogCrossbarEngine engine(wide.array, wide.config.analog);
+  engine.enable_incremental_readout();
+  EXPECT_FALSE(engine.incremental_readout());
+  EXPECT_FALSE(run_sequence(wide, 23, 40));
+}
+
+TEST(SweepDifferential, ArrayAboveTheSizeRuleKeepsTheSweep) {
+  // Short tiles split every column across many bands, so a small graph
+  // already exceeds kIncrementalMaxSlots conversion slots.
+  const crossbar::TileShape tiles{12, 0};
+  const auto large = program(gate_config(400, tiles, 0.03), 12.0);
+  const auto wide = program(gate_config(400, tiles, 0.08), 12.0);
+  ASSERT_GT(large.array->num_slots(),
+            crossbar::ProgrammedArray::kIncrementalMaxSlots);
+  EXPECT_FALSE(large.array->supports_incremental_readout());
+  EXPECT_FALSE(wide.array->supports_incremental_readout());
+  // Both build no extras, so their footprints match.
+  EXPECT_EQ(large.array->approx_bytes(), wide.array->approx_bytes());
+
+  crossbar::AnalogCrossbarEngine engine(large.array, large.config.analog);
+  engine.enable_incremental_readout();
+  EXPECT_FALSE(engine.incremental_readout());
+  EXPECT_FALSE(run_sequence(large, 23, 30));
+  EXPECT_TRUE(engine.incremental_state().empty());
 }
 
 }  // namespace

@@ -340,6 +340,46 @@ std::vector<std::size_t> parse_run_list(const char* flag, const char* text) {
   return runs;
 }
 
+/// Why the generated graph of a maxcut or coloring job cannot be drawn at
+/// the requested size, naming the flags to change; empty when it can (or
+/// when the job reads `file` instead).  Checked before generating, so such
+/// a job fails with this message instead of a generator precondition.
+std::string generated_graph_error(const std::string& family,
+                                  const std::string& file,
+                                  const Options& options) {
+  if (!file.empty()) return {};
+  const auto text = [](double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", value);
+    return std::string(buf);
+  };
+  if (family == "maxcut") {
+    const std::size_t nodes = options.nodes > 0 ? options.nodes : 800;
+    const double degree = problems::gset_like_degree(nodes);
+    if (degree <= 0.0 || problems::random_graph_fits(nodes, degree)) return {};
+    std::size_t needed = 2;
+    while (!problems::random_graph_fits(needed, degree)) ++needed;
+    return "--nodes " + std::to_string(nodes) +
+           " is too small for a generated maxcut graph (average degree " +
+           text(degree) + " needs at least " + std::to_string(needed) +
+           " nodes)";
+  }
+  if (family == "coloring") {
+    const std::size_t nodes = options.nodes > 0 ? options.nodes : 16;
+    const double degree = options.degree > 0.0 ? options.degree : 2.5;
+    if (problems::random_graph_fits(nodes, degree)) return {};
+    if (nodes < 2)
+      return "--nodes " + std::to_string(nodes) +
+             " is too small for a generated coloring graph (at least 2 "
+             "nodes)";
+    return "--degree " + text(degree) + " does not fit --nodes " +
+           std::to_string(nodes) + ": a generated coloring graph on " +
+           std::to_string(nodes) + " nodes has average degree at most " +
+           std::to_string(nodes - 1);
+  }
+  return {};
+}
+
 Options parse(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
@@ -429,6 +469,14 @@ Options parse(int argc, char** argv) {
                    "(runs = %zu)\n", run, options.runs);
       std::exit(2);
     }
+  if (options.batch.empty() && options.serve.empty()) {
+    const auto error =
+        generated_graph_error(options.problem, options.file, options);
+    if (!error.empty()) {
+      std::fprintf(stderr, "fecim_solve: %s\n", error.c_str());
+      std::exit(2);
+    }
+  }
   return options;
 }
 
@@ -774,6 +822,8 @@ Job parse_job_line(const problems::io::LineParser& parser,
   }
   if (job.options.runs == 0) parser.fail("--runs must be at least 1");
   if (job.options.flips == 0) parser.fail("--flips must be at least 1");
+  const auto error = generated_graph_error(job.family, job.path, job.options);
+  if (!error.empty()) parser.fail(error);
   return job;
 }
 
