@@ -7,6 +7,26 @@
 
 namespace fecim::linalg {
 
+CsrMatrix::CsrMatrix(std::size_t cols, std::vector<std::size_t> row_ptr,
+                     std::vector<std::uint32_t> col_idx,
+                     std::vector<double> values)
+    : cols_(cols),
+      row_ptr_(std::move(row_ptr)),
+      col_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+  FECIM_EXPECTS(!row_ptr_.empty() && row_ptr_.front() == 0);
+  FECIM_EXPECTS(row_ptr_.back() == col_idx_.size() &&
+                col_idx_.size() == values_.size());
+  for (std::size_t r = 0; r + 1 < row_ptr_.size(); ++r) {
+    FECIM_EXPECTS(row_ptr_[r] <= row_ptr_[r + 1] &&
+                  row_ptr_[r + 1] <= values_.size());
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      FECIM_EXPECTS(col_idx_[k] < cols_ && values_[k] != 0.0);
+      FECIM_EXPECTS(k == row_ptr_[r] || col_idx_[k - 1] < col_idx_[k]);
+    }
+  }
+}
+
 std::span<const std::uint32_t> CsrMatrix::row_cols(std::size_t r) const {
   FECIM_EXPECTS(r < rows());
   return {col_idx_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
@@ -52,12 +72,21 @@ double CsrMatrix::vmv(std::span<const double> x, std::span<const double> y) cons
 
 bool CsrMatrix::is_symmetric(double tol) const {
   if (rows() != cols_) return false;
+  // Walk the rows in order with one cursor per row: entry (r, c) finds its
+  // mirror (c, r) at row c's cursor, after skipping row c's columns below
+  // r (the mirrors of rows already walked).  Since r only grows, each
+  // cursor only moves forward, and the comparison is at()'s: an absent
+  // mirror reads as 0.
+  std::vector<std::size_t> cursor(row_ptr_.begin(),
+                                  row_ptr_.begin() + rows());
   for (std::size_t r = 0; r < rows(); ++r) {
-    const auto cols = row_cols(r);
-    const auto vals = row_values(r);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      const double mirror = at(cols[k], r);
-      if (std::fabs(mirror - vals[k]) > tol) return false;
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const std::uint32_t c = col_idx_[k];
+      std::size_t& m = cursor[c];
+      while (m < row_ptr_[c + 1] && col_idx_[m] < r) ++m;
+      const bool found = m < row_ptr_[c + 1] && col_idx_[m] == r;
+      const double mirror = found ? values_[m] : 0.0;
+      if (std::fabs(mirror - values_[k]) > tol) return false;
     }
   }
   return true;

@@ -3,7 +3,9 @@
 // Gset-class Max-Cut instances are sparse (average degree ~4-50), so the
 // annealer's inner loops run over CSR rows.  The builder accepts arbitrary
 // (row, col, value) triplets, merges duplicates by summation, and can
-// symmetrize on demand.
+// symmetrize on demand.  Encoders that already know each entry's final
+// value (problems::maxcut_to_ising) skip the builder's global sort and
+// hand finished arrays to the checking constructor.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +23,13 @@ class CsrMatrix {
   };
 
   CsrMatrix() = default;
+
+  /// Adopt finished CSR arrays, checked in O(rows + nnz) against the form
+  /// Builder::build() produces: `row_ptr` has rows + 1 non-decreasing
+  /// offsets from 0 to nnz, each row's columns are strictly increasing and
+  /// below `cols`, and no stored value is zero.
+  CsrMatrix(std::size_t cols, std::vector<std::size_t> row_ptr,
+            std::vector<std::uint32_t> col_idx, std::vector<double> values);
 
   std::size_t rows() const noexcept {
     return row_ptr_.empty() ? 0 : row_ptr_.size() - 1;
@@ -41,7 +50,9 @@ class CsrMatrix {
   /// xᵀ A y.
   double vmv(std::span<const double> x, std::span<const double> y) const;
 
-  /// True when the sparsity pattern and values are symmetric within tol.
+  /// True when the sparsity pattern and values are symmetric within tol:
+  /// no stored entry (r, c) has |at(c, r) - value| > tol, an absent mirror
+  /// reading as 0 (a NaN difference never fails).  O(rows + nnz).
   bool is_symmetric(double tol = 0.0) const;
 
   /// Largest |value|; 0 for an empty matrix.

@@ -48,13 +48,10 @@ Graph random_graph(std::size_t n, double avg_degree, WeightScheme weights,
 
   util::Rng rng(seed);
   Graph graph(n);
-  std::unordered_set<std::uint64_t> used;
-  used.reserve(target_edges * 2);
-  while (used.size() < target_edges) {
+  while (graph.num_edges() < target_edges) {
     const auto u = static_cast<std::uint32_t>(rng.uniform_index(n));
     const auto v = static_cast<std::uint32_t>(rng.uniform_index(n));
-    if (u == v) continue;
-    if (!used.insert(edge_key(u, v)).second) continue;
+    if (u == v || graph.has_edge(u, v)) continue;
     graph.add_edge(u, v, sample_weight(weights, rng));
   }
   return graph;

@@ -1,6 +1,7 @@
 #include "problems/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <queue>
 
@@ -8,33 +9,62 @@
 
 namespace fecim::problems {
 
-Graph::Graph(std::size_t num_vertices) : num_vertices_(num_vertices) {
+Graph::Graph(std::size_t num_vertices)
+    : num_vertices_(num_vertices), index_(16, kEmptyBucket) {
   FECIM_EXPECTS(num_vertices > 0);
+}
+
+std::size_t Graph::find_bucket(std::uint32_t u,
+                               std::uint32_t v) const noexcept {
+  // Fibonacci hashing of the packed pair: the top log2(buckets) bits of
+  // the product mix every bit of both endpoints.
+  const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
+  const std::size_t mask = index_.size() - 1;
+  std::size_t bucket = static_cast<std::size_t>(
+      (key * 0x9e3779b97f4a7c15ull) >> (64 - std::countr_zero(index_.size())));
+  for (;;) {
+    const std::uint32_t slot = index_[bucket];
+    if (slot == kEmptyBucket) return bucket;
+    if (edges_[slot].u == u && edges_[slot].v == v) return bucket;
+    bucket = (bucket + 1) & mask;
+  }
+}
+
+void Graph::grow_index() {
+  index_.assign(2 * index_.size(), kEmptyBucket);
+  for (std::size_t slot = 0; slot < edges_.size(); ++slot)
+    index_[find_bucket(edges_[slot].u, edges_[slot].v)] =
+        static_cast<std::uint32_t>(slot);
 }
 
 void Graph::add_edge(std::uint32_t u, std::uint32_t v, double weight) {
   FECIM_EXPECTS(u < num_vertices_ && v < num_vertices_);
   FECIM_EXPECTS(u != v);
   if (u > v) std::swap(u, v);
+  // Grow before probing so the table stays at most half full after the
+  // insertion below.
+  if (2 * (edges_.size() + 1) > index_.size()) grow_index();
   // Merge parallel edges by weight accumulation.
-  const auto [it, inserted] = edge_slot_.try_emplace(edge_key(u, v),
-                                                     edges_.size());
-  if (inserted)
+  const std::size_t bucket = find_bucket(u, v);
+  if (index_[bucket] == kEmptyBucket) {
+    FECIM_EXPECTS(edges_.size() < kEmptyBucket);
+    index_[bucket] = static_cast<std::uint32_t>(edges_.size());
     edges_.push_back({u, v, weight});
-  else
-    edges_[it->second].weight += weight;
+  } else {
+    edges_[index_[bucket]].weight += weight;
+  }
   adjacency_valid_ = false;
 }
 
 bool Graph::has_edge(std::uint32_t u, std::uint32_t v) const {
   if (u > v) std::swap(u, v);
-  return edge_slot_.contains(edge_key(u, v));
+  return index_[find_bucket(u, v)] != kEmptyBucket;
 }
 
 double Graph::edge_weight(std::uint32_t u, std::uint32_t v) const {
   if (u > v) std::swap(u, v);
-  const auto it = edge_slot_.find(edge_key(u, v));
-  return it == edge_slot_.end() ? 0.0 : edges_[it->second].weight;
+  const std::uint32_t slot = index_[find_bucket(u, v)];
+  return slot == kEmptyBucket ? 0.0 : edges_[slot].weight;
 }
 
 double Graph::total_weight() const noexcept {

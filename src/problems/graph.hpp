@@ -2,15 +2,15 @@
 //
 // Stored as an edge list with a CSR adjacency built at finalization; parallel
 // edges merge by weight summation through a persistent (u,v) -> edge-slot
-// hash index, so loading an m-edge file is O(m) rather than O(m^2).
-// Self-loops are rejected (they are meaningless for every COP in this
-// project).
+// hash index, so loading an m-edge file is O(m) rather than O(m^2).  The
+// index is a flat open-addressing table of edge positions (no per-edge
+// heap node): adding m edges allocates O(log m) times.  Self-loops are
+// rejected (they are meaningless for every COP in this project).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace fecim::problems {
@@ -60,15 +60,23 @@ class Graph {
  private:
   void ensure_adjacency() const;
 
-  static std::uint64_t edge_key(std::uint32_t u, std::uint32_t v) noexcept {
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
+  /// Bucket of edge {u, v} (u < v) in index_: the bucket holding its
+  /// position in edges_, or the empty bucket where it would be inserted.
+  std::size_t find_bucket(std::uint32_t u, std::uint32_t v) const noexcept;
+  /// Double the index and re-insert every edge.
+  void grow_index();
+
+  static constexpr std::uint32_t kEmptyBucket = 0xffffffffu;
 
   std::size_t num_vertices_;
   std::vector<Edge> edges_;
-  // (u << 32 | v) with u < v -> index into edges_; makes parallel-edge
-  // merging and has_edge/edge_weight O(1) instead of an O(m) list scan.
-  std::unordered_map<std::uint64_t, std::size_t> edge_slot_;
+  // Open-addressing (linear probing) index: a power-of-two table (16
+  // buckets or more) of positions into edges_, kEmptyBucket where unused,
+  // at most half full.
+  // The keys live in edges_ itself, so the table costs 4 bytes per bucket
+  // (8-16 bytes per edge) -- makes parallel-edge merging and
+  // has_edge/edge_weight O(1) instead of an O(m) list scan.
+  std::vector<std::uint32_t> index_;
 
   // Lazily built adjacency (mutable cache; rebuilt when edges change).
   mutable bool adjacency_valid_ = false;

@@ -7,8 +7,10 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -103,27 +105,49 @@ bool LineParser::next_raw_line(std::string_view& out) {
   return true;
 }
 
+namespace {
+
+/// std::isspace in the "C" locale (space, \t \n \v \f \r), which is the
+/// only locale the program runs in -- without the locale lookup per byte.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// A token of 1..max_digits decimal digits after an optional '-' (when
+/// `allow_minus`), or nullopt for anything else.  Below 10^15 (number) or
+/// 10^18 (index) the value is exact as a double or std::size_t, so it
+/// equals what strtod/strtoull return for the same token.
+std::optional<std::uint64_t> plain_integer(std::string_view text,
+                                           std::size_t max_digits,
+                                           bool allow_minus) {
+  if (allow_minus && !text.empty() && text.front() == '-')
+    text.remove_prefix(1);
+  if (text.empty() || text.size() > max_digits) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return value;
+}
+
+}  // namespace
+
 bool LineParser::next() {
   std::string_view line;
   while (next_raw_line(line)) {
     ++line_number_;
     std::size_t start = 0;
-    while (start < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[start])))
-      ++start;
+    while (start < line.size() && is_space(line[start])) ++start;
     if (start == line.size()) continue;  // blank
     if (comment_prefixes_.find(line[start]) != std::string::npos) continue;
     fields_.clear();
     std::size_t pos = start;
     while (pos < line.size()) {
-      while (pos < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[pos])))
-        ++pos;
+      while (pos < line.size() && is_space(line[pos])) ++pos;
       if (pos == line.size()) break;
       const std::size_t begin = pos;
-      while (pos < line.size() &&
-             !std::isspace(static_cast<unsigned char>(line[pos])))
-        ++pos;
+      while (pos < line.size() && !is_space(line[pos])) ++pos;
       fields_.push_back(line.substr(begin, pos - begin));
     }
     return true;
@@ -137,10 +161,16 @@ std::string_view LineParser::field(std::size_t i) const {
 }
 
 double LineParser::number(std::size_t i) const {
+  const std::string_view token = field(i);
+  // Plain integers (Gset vertex ids and unit weights) convert directly.
+  if (const auto digits = plain_integer(token, 15, true)) {
+    const double magnitude = static_cast<double>(*digits);
+    return token.front() == '-' ? -magnitude : magnitude;
+  }
   // strtod needs a NUL-terminated token; the copy is SSO-small for any
   // realistic numeral and keeps the historical grammar (leading '+', hex
   // floats, inf/nan rejected below via isfinite) bit-exact on both sources.
-  const std::string text(field(i));
+  const std::string text(token);
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
@@ -151,7 +181,10 @@ double LineParser::number(std::size_t i) const {
 }
 
 std::size_t LineParser::index(std::size_t i) const {
-  const std::string text(field(i));
+  const std::string_view token = field(i);
+  if (const auto digits = plain_integer(token, 18, false))
+    return static_cast<std::size_t>(*digits);
+  const std::string text(token);
   if (text.empty() || text[0] == '-' || text[0] == '+')
     fail("'" + text + "' is not a non-negative integer");
   errno = 0;
@@ -270,9 +303,11 @@ KnapsackInstance read_knapsack_impl(Source&& in, const std::string& context) {
   if (items == 0) parser.fail("instance must have at least one item");
   if (capacity <= 0.0) parser.fail("capacity must be positive");
 
+  // The item list grows with the lines actually read: `items` is an
+  // unverified header count, and a short file declaring a huge one must end
+  // in its truncation diagnostic, not in an allocation of the declared size.
   KnapsackInstance instance;
   instance.capacity = capacity;
-  instance.items.reserve(items);
   for (std::size_t i = 0; i < items; ++i) {
     if (!parser.next())
       parser.fail_truncated(std::to_string(items) + " item lines, got " +
@@ -375,8 +410,8 @@ TspInstance read_tsp_coords_impl(Source&& in, const std::string& context) {
   const std::size_t cities = parser.index(0);
   if (cities < 3) parser.fail("need at least 3 cities");
 
+  // Grows with the lines read, never from the header (see knapsack).
   std::vector<std::pair<double, double>> points;
-  points.reserve(cities);
   for (std::size_t i = 0; i < cities; ++i) {
     if (!parser.next())
       parser.fail_truncated(std::to_string(cities) + " coordinate lines, got " +
@@ -508,8 +543,10 @@ TspInstance read_tsplib_impl(Source&& in, const std::string& context) {
     parser.fail("NODE_COORD_SECTION before EDGE_WEIGHT_TYPE (EUC_2D)");
   if (dimension < 3) parser.fail("need at least 3 cities");
 
-  std::vector<std::pair<double, double>> points(dimension);
-  std::vector<std::uint8_t> seen(dimension, 0);
+  // Keyed by id as the lines arrive, never sized from DIMENSION (an
+  // unverified header count; see knapsack): ids may come in any order, and
+  // a duplicate must fail on its own line.
+  std::unordered_map<std::size_t, std::pair<double, double>> by_id;
   for (std::size_t i = 0; i < dimension; ++i) {
     if (!parser.next())
       parser.fail_truncated(std::to_string(dimension) +
@@ -520,10 +557,9 @@ TspInstance read_tsplib_impl(Source&& in, const std::string& context) {
     if (id < 1 || id > dimension)
       parser.fail("node id " + std::to_string(id) + " outside 1.." +
                   std::to_string(dimension));
-    if (seen[id - 1])
-      parser.fail("duplicate node id " + std::to_string(id));
-    seen[id - 1] = 1;
-    points[id - 1] = {parser.number(1), parser.number(2)};
+    const auto [slot, inserted] = by_id.try_emplace(id);
+    if (!inserted) parser.fail("duplicate node id " + std::to_string(id));
+    slot->second = {parser.number(1), parser.number(2)};
   }
   if (parser.next()) {
     std::string key;
@@ -532,6 +568,10 @@ TspInstance read_tsplib_impl(Source&& in, const std::string& context) {
     if (key != "EOF" || parser.next())
       parser.fail("trailing content after NODE_COORD_SECTION");
   }
+
+  // DIMENSION distinct ids in 1..DIMENSION: every id is present.
+  std::vector<std::pair<double, double>> points(dimension);
+  for (const auto& [id, point] : by_id) points[id - 1] = point;
 
   TspInstance instance;
   instance.distances.assign(dimension, std::vector<double>(dimension, 0.0));

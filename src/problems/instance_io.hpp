@@ -97,7 +97,9 @@ class LineParser {
   std::string_view field(std::size_t i) const;
 
   /// Typed field accessors; full-token validation (no silent strtod/strtoull
-  /// garbage-to-zero), failures name the field text and the line.
+  /// garbage-to-zero), failures name the field text and the line.  Plain
+  /// decimal integers short enough to be exact (15 digits for number(), 18
+  /// for index()) convert directly, with the value strtod/strtoull give.
   double number(std::size_t i) const;
   std::size_t index(std::size_t i) const;
 

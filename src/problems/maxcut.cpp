@@ -9,11 +9,47 @@
 namespace fecim::problems {
 
 ising::IsingModel maxcut_to_ising(const Graph& graph) {
+  // The graph holds each unordered pair once (parallel edges already
+  // merged), so every coupling is the single term w/2 and needs no
+  // duplicate merge: the CSR is built directly in O(n + m), bit-identical
+  // to CsrMatrix::Builder's, which sums one term onto 0.0 and drops a
+  // zero sum -- the same as keeping w/2 exactly when it is nonzero.
   const std::size_t n = graph.num_vertices();
-  linalg::CsrMatrix::Builder builder(n, n);
-  for (const auto& e : graph.edges())
-    builder.add_symmetric(e.u, e.v, e.weight / 2.0);
-  return ising::IsingModel(builder.build());
+  const auto edges = graph.edges();
+  const auto kept = [](const Edge& e) { return e.weight / 2.0 != 0.0; };
+
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  for (const auto& e : edges)
+    if (kept(e)) {
+      ++row_ptr[e.u + 1];
+      ++row_ptr[e.v + 1];
+    }
+  for (std::size_t r = 0; r < n; ++r) row_ptr[r + 1] += row_ptr[r];
+  const std::size_t nnz = row_ptr[n];
+
+  // Bucket each kept edge under both endpoints, in edge order; then walk
+  // the buckets row by row and append r to row c for every edge {r, c}.
+  // Each row comes out sorted by column (a counting sort), with no
+  // comparison sort and no long-row worst case.
+  std::vector<std::uint32_t> edge_of(nnz);
+  std::vector<std::size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t id = 0; id < edges.size(); ++id) {
+    if (!kept(edges[id])) continue;
+    edge_of[cursor[edges[id].u]++] = static_cast<std::uint32_t>(id);
+    edge_of[cursor[edges[id].v]++] = static_cast<std::uint32_t>(id);
+  }
+  std::vector<std::uint32_t> col_idx(nnz);
+  std::vector<double> values(nnz);
+  std::copy(row_ptr.begin(), row_ptr.end() - 1, cursor.begin());
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const Edge& e = edges[edge_of[k]];
+      const std::size_t c = e.u == r ? e.v : e.u;
+      col_idx[cursor[c]] = static_cast<std::uint32_t>(r);
+      values[cursor[c]++] = e.weight / 2.0;
+    }
+  return ising::IsingModel(linalg::CsrMatrix(
+      n, std::move(row_ptr), std::move(col_idx), std::move(values)));
 }
 
 double cut_value(const Graph& graph, std::span<const ising::Spin> spins) {

@@ -4,11 +4,16 @@
 // with its ProblemInstance factory.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ising/qubo.hpp"
 #include "problems/gset_io.hpp"
@@ -717,6 +722,126 @@ TEST(MmapDifferential, MappedFileContract) {
   fecim::problems::io::MappedFile mapped_empty;
   ASSERT_TRUE(mapped_empty.open(empty.path()));
   EXPECT_TRUE(mapped_empty.view().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Token grammar: LineParser converts plain decimal integers directly and
+// every other token through strtod / strtoull.  The corpus pins that both
+// sources and both typed readers keep the strtod / strtoull grammar,
+// values and messages token for token.
+// ---------------------------------------------------------------------------
+
+/// A typed field read: the value's bits when accepted, else the message.
+struct TokenOutcome {
+  bool accepted = false;
+  std::uint64_t bits = 0;
+  std::string message;
+  bool operator==(const TokenOutcome&) const = default;
+};
+
+void PrintTo(const TokenOutcome& outcome, std::ostream* out) {
+  *out << (outcome.accepted ? "accepted " : "rejected ") << outcome.bits
+       << " '" << outcome.message << "'";
+}
+
+/// LineParser::number() as it was defined before the integer fast path.
+TokenOutcome strtod_number(const std::string& token, const std::string& where) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() || end == token.c_str() ||
+      errno == ERANGE || !std::isfinite(value))
+    return {false, 0, where + ": '" + token + "' is not a finite number"};
+  return {true, std::bit_cast<std::uint64_t>(value), {}};
+}
+
+/// LineParser::index() as it was defined before the integer fast path.
+TokenOutcome strtoull_index(const std::string& token,
+                            const std::string& where) {
+  const TokenOutcome rejected{
+      false, 0, where + ": '" + token + "' is not a non-negative integer"};
+  if (token.empty() || token[0] == '-' || token[0] == '+') return rejected;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
+  if (end != token.c_str() + token.size() || end == token.c_str() ||
+      errno == ERANGE)
+    return rejected;
+  return {true, value, {}};
+}
+
+template <typename Read>
+TokenOutcome outcome_of(Read&& read) {
+  try {
+    return {true, read(), {}};
+  } catch (const fecim::contract_error& error) {
+    return {false, 0, error.what()};
+  }
+}
+
+TEST(MmapDifferential, TokenGrammarMatchesStrtodAndStrtoull) {
+  const std::vector<std::string> tokens = {
+      "1", "-0", "007",
+      "999999999999999",       // 15 digits: number()'s longest direct token
+      "-123456789012345",      // 15 digits, negative
+      "9007199254740993",      // 16 digits (2^53 + 1: strtod rounds it)
+      "999999999999999999",    // 18 digits: index()'s longest direct token
+      "1234567890123456789",   // 19 digits
+      "12345678901234567890",  // 20 digits
+      "18446744073709551615",  // 2^64 - 1
+      "18446744073709551616",  // 2^64: out of range for index()
+      "+1", "-1", "0x10", "1e3", "1.5", "1e309", "1e-400", "inf", "nan",
+      "1,5",
+  };
+  std::string text;
+  for (const auto& token : tokens) text += token + "\n";
+  TempFixture file("fecim_mmap_tokens.txt", text);
+  io::MappedFile mapped;
+  ASSERT_TRUE(mapped.open(file.path()));
+  std::stringstream stream(text);
+  io::LineParser from_map(mapped.view(), "tokens.txt");
+  io::LineParser from_stream(stream, "tokens.txt");
+  std::size_t accepted = 0;
+  for (std::size_t k = 0; k < tokens.size(); ++k) {
+    const std::string where = "tokens.txt:" + std::to_string(k + 1);
+    const auto want_number = strtod_number(tokens[k], where);
+    const auto want_index = strtoull_index(tokens[k], where);
+    accepted += want_number.accepted + want_index.accepted;
+    for (io::LineParser* parser : {&from_map, &from_stream}) {
+      ASSERT_TRUE(parser->next());
+      EXPECT_EQ(outcome_of([&] {
+                  return std::bit_cast<std::uint64_t>(parser->number(0));
+                }),
+                want_number)
+          << tokens[k];
+      EXPECT_EQ(outcome_of([&] {
+                  return static_cast<std::uint64_t>(parser->index(0));
+                }),
+                want_index)
+          << tokens[k];
+    }
+  }
+  // The oracle itself: both verdicts occur, and the edge tokens land where
+  // the C library puts them.
+  EXPECT_EQ(accepted, 24u);  // 16 numbers and 8 indices
+  EXPECT_EQ(strtod_number("-0", "w").bits, std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_TRUE(strtoull_index("18446744073709551615", "w").accepted);
+  EXPECT_FALSE(strtoull_index("18446744073709551616", "w").accepted);
+  EXPECT_FALSE(strtod_number("1e-400", "w").accepted);
+}
+
+TEST(MmapDifferential, FieldsSplitOnCLocaleWhitespaceOnly) {
+  for (int c = 0; c < 256; ++c) {
+    if (c == '\n') continue;  // the line separator
+    const std::string text = std::string("a") + static_cast<char>(c) + "b";
+    std::stringstream in(text);
+    io::LineParser from_view(std::string_view(text), "ws");
+    io::LineParser from_stream(in, "ws");
+    for (io::LineParser* parser : {&from_view, &from_stream}) {
+      ASSERT_TRUE(parser->next());
+      EXPECT_EQ(parser->fields(), std::isspace(c) ? 2u : 1u) << c;
+    }
+  }
 }
 
 TEST(QuboProblem, FactoryDecodesAndKeepsSense) {

@@ -197,6 +197,30 @@ grep -q '^good,' "${ft_batch_dir}/out.csv" \
   || { echo "check.sh: surviving batch row missing" >&2; exit 1; }
 grep -q '^bad,.*,failed$' "${ft_batch_dir}/out.csv" \
   || { echo "check.sh: failed batch row missing" >&2; exit 1; }
+# Oversized headers: a short file declaring a huge count must end in its
+# own diagnostic naming the file, never in an allocation of the declared
+# size (readers grow their buffers with the lines actually read).
+ft_header_dir="build/smoke_ft_headers"
+mkdir -p "${ft_header_dir}"
+printf '1000000000000000 10\n' > "${ft_header_dir}/huge.kp"
+printf '1000000000000000\n0 0\n3 0\n' > "${ft_header_dir}/huge.xy"
+printf '%s\n' 'NAME: huge' 'TYPE: TSP' 'DIMENSION: 200000000' \
+  'EDGE_WEIGHT_TYPE: EUC_2D' 'NODE_COORD_SECTION' '1 0 0' '2 3 0' '3 3 4' \
+  'EOF' > "${ft_header_dir}/huge.tsp"
+for spec in knapsack:huge.kp tsp:huge.xy tsp:huge.tsp; do
+  header_file="${ft_header_dir}/${spec#*:}"
+  status=0
+  ./build/tools/fecim_solve --problem "${spec%%:*}" --file "${header_file}" \
+    --iterations 10 --runs 1 --csv > /dev/null 2> "${header_file}.err" \
+    || status=$?
+  if [[ "${status}" != 1 ]] || ! grep -qF "${header_file}" "${header_file}.err" \
+    || grep -q 'bad_alloc' "${header_file}.err"; then
+    echo "check.sh: oversized header in ${header_file} did not fail with" \
+      "a diagnostic (exit ${status})" >&2
+    cat "${header_file}.err" >&2
+    exit 1
+  fi
+done
 echo "check.sh: fault-tolerance smoke OK"
 
 # Serving smoke (docs/serving.md): a manifest listing the same instance
