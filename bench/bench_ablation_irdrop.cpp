@@ -7,10 +7,10 @@
 //
 // The attenuation columns come from the tile-aware execution path itself:
 // two AnalogCrossbarEngine instances over the same 3000-spin programmed
-// array (one monolithic, one on the <=1024-row tile grid) report
-// ir_attenuation() / tile_attenuation(), so this ablation can never drift
-// from what the engines actually apply.  plan_tiles() supplies only the
-// grid geometry and the Elmore delay.
+// array (one monolithic, one on the <=1024-row tile grid) report their
+// tile_attenuation(), so this ablation can never drift from what the
+// engines actually apply.  plan_tiles() supplies only the grid geometry
+// and the Elmore delay.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -62,7 +62,7 @@ int main() {
         tiled_annealer.array()->device_params().read_vdl, tech);
     att.row()
         .add(r_per_um, 1)
-        .add(mono_engine.ir_attenuation(), 4)
+        .add(mono_engine.tile_attenuation(), 4)
         .add(tiled_engine.tile_attenuation(), 4)
         .add(util::si_format(tile_parasitics.elmore_delay, "s"));
   }

@@ -3,8 +3,8 @@
 //
 //   1. Analog engine evaluations/sec at N in {256, 1024, 4096}, in two
 //      regimes: "analog" (deterministic device: ideal cells, noiseless ADC)
-//      isolates the restructured arithmetic -- bit-plane column cache,
-//      segment-class dedup, flip bitmask, V_BG memoization -- while
+//      times the readout sweep at sigma = 0 -- bit-plane column metadata,
+//      flip bitmask, V_BG memoization, keyed draws scaled by zero -- while
 //      "analog-noisy" (Vth spread + read noise + ADC noise) tracks the
 //      stochastic path: counter-keyed ziggurat streams (batched per column)
 //      vs the reference kernel computing the identical keyed draws
@@ -107,7 +107,7 @@ core::InSituConfig analog_config(bool noisy) {
     config.variation.vth_sigma = 0.03;
     config.variation.read_noise_rel = 0.02;
   } else {
-    config.analog.adc.noise_lsb_rms = 0.0;  // deterministic readout
+    config.analog.adc.noise_lsb_rms = 0.0;  // noise-free readout
   }
   return config;
 }
@@ -230,8 +230,7 @@ EngineRow bench_analog_engine(std::size_t n, std::size_t iterations,
       workload, iterations,
       [&](const ising::FlipSet& flips, const crossbar::AnnealSignal& signal) {
         return crossbar::reference::analog_evaluate(
-                   *workload.array, engine.adc(), engine.ir_attenuation(),
-                   engine.band_attenuations(),
+                   *workload.array, engine.adc(), engine.band_attenuations(),
                    i_on_max, workload.spins, flips, signal, noise)
             .e_inc;
       });
@@ -452,8 +451,8 @@ double legacy_insitu_run(const ising::IsingModel& model,
     const auto point = workload.schedule.at(it);
     const auto flips = ising::random_flip_set(model.num_flippable(), 2, rng);
     const auto evaluation = crossbar::reference::analog_evaluate(
-        *workload.array, probe.adc(), probe.ir_attenuation(), probe.band_attenuations(), i_on_max, spins,
-        flips, {point.factor, point.vbg}, noise);
+        *workload.array, probe.adc(), probe.band_attenuations(), i_on_max,
+        spins, flips, {point.factor, point.vbg}, noise);
     if (acceptance.accept(4.0 * evaluation.e_inc, rng)) {
       energy += model.delta_energy(spins, flips);
       ising::flip_in_place(spins, flips);

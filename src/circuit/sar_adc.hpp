@@ -50,8 +50,8 @@ class SarAdc {
   }
 
   /// convert_ideal() with the code returned as an (exact integer-valued)
-  /// double, written branch-free so the per-slot conversion loop of the
-  /// stochastic sweep auto-vectorizes (floor + two blends).  Equal to
+  /// double, written branch-free so the analog engine's per-slot
+  /// conversion loop auto-vectorizes (floor + two blends).  Equal to
   /// double(convert_ideal(current)) for every input: both clamps select
   /// between the same exactly-representable values.
   double convert_ideal_d(double current) const noexcept {

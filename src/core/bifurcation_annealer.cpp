@@ -64,9 +64,8 @@ BifurcationAnnealer::BifurcationAnnealer(
     // One-time IR-drop ladder solve shared by every per-run engine instance
     // (same reasoning as the in-situ annealer; the array is immutable).
     if (config_.analog.model_ir_drop &&
-        config_.analog.cached_ir_attenuation <= 0.0) {
+        config_.analog.cached_band_ir_attenuation.empty()) {
       const crossbar::AnalogCrossbarEngine probe(array_, config_.analog);
-      config_.analog.cached_ir_attenuation = probe.ir_attenuation();
       config_.analog.cached_band_ir_attenuation.assign(
           probe.band_attenuations().begin(), probe.band_attenuations().end());
     }

@@ -52,13 +52,11 @@ InSituCimAnnealer::InSituCimAnnealer(
           config_.array_seed, config_.tiles);
     }
     // Solve the IR-drop ladders once here: the array is immutable, so every
-    // per-run engine instance reuses the same logical and per-tile
-    // attenuations instead of re-running the MNA solves (which scale with
-    // physical rows).
+    // per-run engine instance reuses the same per-tile attenuations instead
+    // of re-running the MNA solves (which scale with physical rows).
     if (config_.analog.model_ir_drop &&
-        config_.analog.cached_ir_attenuation <= 0.0) {
+        config_.analog.cached_band_ir_attenuation.empty()) {
       const crossbar::AnalogCrossbarEngine probe(array_, config_.analog);
-      config_.analog.cached_ir_attenuation = probe.ir_attenuation();
       config_.analog.cached_band_ir_attenuation.assign(
           probe.band_attenuations().begin(), probe.band_attenuations().end());
     }

@@ -104,8 +104,8 @@ FECIM_ALWAYS_INLINE inline void accumulate_banks(
         sq[b] += grid_units(m[b], inv_grid);
       }
     } else {
-      // ADC-noise-only regime (the default config): the squared sums are
-      // never read, so skip half the arithmetic.
+      // No read noise (the default config): the squared sums are never
+      // read, so skip half the arithmetic.
       for (std::size_t b = 0; b < bits; ++b) sum[b] += m[b];
     }
   }
@@ -159,24 +159,13 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
   const auto bands = array_->bands();
   band_attenuation_.assign(bands.size(), 1.0);
   if (config_.model_ir_drop) {
-    if (config_.cached_ir_attenuation > 0.0) {
-      attenuation_ = config_.cached_ir_attenuation;
-    } else {
-      const auto est = circuit::estimate_line_parasitics(
-          array_->mapping().physical_rows(), i_on_max_,
-          array_->device_params().read_vdl, config_.wire);
-      attenuation_ = est.ir_attenuation;
-    }
     if (config_.cached_band_ir_attenuation.size() == bands.size()) {
       band_attenuation_ = config_.cached_band_ir_attenuation;
     } else {
       // At most two distinct band heights under the balanced split (full
-      // bands plus one remainder), so at most two extra MNA solves; a
-      // monolithic array reuses the logical attenuation outright.
+      // bands plus one remainder), so at most two MNA solves.
       for (std::size_t b = 0; b < bands.size(); ++b) {
-        if (bands[b].rows() == array_->mapping().physical_rows()) {
-          band_attenuation_[b] = attenuation_;
-        } else if (b > 0 && bands[b].rows() == bands[b - 1].rows()) {
+        if (b > 0 && bands[b].rows() == bands[b - 1].rows()) {
           band_attenuation_[b] = band_attenuation_[b - 1];
         } else {
           band_attenuation_[b] =
@@ -188,17 +177,10 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
       }
     }
   }
-  // The deterministic readout needs no stochastic term anywhere in the
-  // sensing chain, and walks the segment-class cache that only arrays
-  // programmed without read noise carry.
-  deterministic_readout_ =
-      array_->variation_params().read_noise_rel <= 0.0 &&
-      !(adc_.params().noise_lsb_rms > 0.0);
-  FECIM_EXPECTS(!deterministic_readout_ || array_->has_class_cache());
   noise_ = ReadoutNoise::for_run(0);
-  // Per-tile digital calibration factors of the stochastic path (see the
-  // e_inc merge in evaluate()); constant per engine, so the per-evaluation
-  // merge is a multiply instead of a divide per band.
+  // Per-tile digital calibration factors (see the e_inc merge in
+  // evaluate()); constant per engine, so the per-evaluation merge is a
+  // multiply instead of a divide per band.
   band_to_einc_.resize(bands.size());
   for (std::size_t b = 0; b < bands.size(); ++b)
     band_to_einc_[b] = array_->couplings().scale() * adc_.lsb_current() /
@@ -213,8 +195,7 @@ void AnalogCrossbarEngine::begin_run(std::uint64_t run_seed) {
 }
 
 void AnalogCrossbarEngine::enable_incremental_readout() {
-  if (deterministic_readout_ || !array_->supports_incremental_readout())
-    return;
+  if (!array_->supports_incremental_readout()) return;
   incremental_ = true;
   state_live_ = false;
   state_stride_ = array_->variation_params().read_noise_rel > 0.0 ? 4 : 2;
@@ -309,11 +290,6 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   }
   const double i_on = cached_i_on_;
   const double read_noise_rel = array_->variation_params().read_noise_rel;
-  // Association mirrors the per-cell form: (i_on * att) * sum and
-  // ((rel * i_on) * att) * sqrt(sq_sum), keeping results bit-identical.
-  // Deterministic readout evaluates at the logical-array calibration point
-  // (attenuation_); stochastic conversions use each band's own attenuation.
-  const double current_scale = i_on * attenuation_;
 
   const auto bands = array_->bands();
   const std::size_t num_bands = bands.size();
@@ -322,11 +298,6 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   EngineTrace& trace = result.trace;
   trace.crossbar_passes = 4;
   trace.tile_ir_attenuation = band_attenuation_[0];
-
-  // Digital accumulator of signed, bit-weighted ADC codes (deterministic
-  // shared-conversion path; the stochastic path accumulates per band into
-  // ws.band_acc for the per-tile calibration).
-  double accumulator = 0.0;
 
   auto& ws = workspace_;
   for (auto& acc : ws.band_acc) acc = 0.0;
@@ -347,311 +318,173 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   }
 
   const std::size_t slots = static_cast<std::size_t>(bits) * 2;
+  const auto all_mults = array_->multipliers();
+  // Readout over independent (flip, band) units.
+  //
+  // Serial prelude: ledger accounting, the canonical conversion-index
+  // layout (flip-major, then band, then polarity/bit/plane -- exactly the
+  // cursor order of the reference kernel), and ONE widened ziggurat fill
+  // covering every conversion of the evaluation.  Each keyed draw is a
+  // pure function of its absolute conversion index, so one evaluation-wide
+  // fill equals the historical per-(flip, band) fills element-wise, and
+  // any regrouping of the units below sees identical noise.
+  const std::size_t flip_count = flips.size();
+  if (ws.conv_base.size() < flip_count * num_bands)
+    ws.conv_base.resize(flip_count * num_bands);
+  if (ws.flip_view.size() < flip_count) {
+    ws.flip_view.resize(flip_count);
+    ws.flip_q.resize(flip_count);
+  }
+  std::size_t total_conversions = 0;
+  for (std::size_t fi = 0; fi < flip_count; ++fi) {
+    const auto j = flips[fi];
+    ws.flip_view[fi] = array_->column(j);
+    // sigma_c_j = -sigma_j (the flipped value); its sign selects the
+    // DL-polarity pass this column participates in.
+    ws.flip_q[fi] = -static_cast<int>(spins[j]);
+    const std::uint32_t total_present =
+        array_->column_total_present_segments(j);
+    trace.tile_activations += array_->column_active_bands(j);
+    trace.partial_sum_updates += 2 * static_cast<std::size_t>(
+        total_present - array_->column_union_present_segments(j));
+    trace.adc_conversions += 2 * static_cast<std::size_t>(total_present);
+    for (std::size_t band = 0; band < num_bands; ++band) {
+      ws.conv_base[fi * num_bands + band] =
+          static_cast<std::uint32_t>(total_conversions);
+      total_conversions +=
+          2 * static_cast<std::size_t>(
+                  array_->column_present_segments(band, j));
+    }
+  }
+  if (ws.z.size() < total_conversions) ws.z.resize(total_conversions);
+  noise_.conversion.normal_fill(noise_.next_conversion,
+                                {ws.z.data(), total_conversions});
+  noise_.next_conversion += total_conversions;
 
-  if (deterministic_readout_) {
-    const auto cache_rows = array_->cache_rows();
-    const auto cache_mults = array_->cache_multipliers();
-    // One sweep over each distinct cell list of a (band, column) accumulates
-    // both row-polarity passes into ws.sum (index 0 = +1 pass, 1 = -1): an
-    // unflipped row contributes to exactly one polarity, and the
-    // per-polarity addition order stays the column's cell order.
-    // `base_spins`/`base_mask` point at the band's first row, so the
-    // band-relative cached rows index them directly (a monolithic band
-    // starts at row 0).
-    const auto accumulate_classes =
-        [&](std::span<const ProgrammedArray::SegmentClass> classes,
-            const ising::Spin* base_spins, const std::uint8_t* base_mask) {
-          for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-            const auto& cls = classes[ci];
-            if (cls.all_unit) {
-              // Branchless: spins are random +-1, so per-cell branches
-              // mispredict half the time; counting live and positive cells
-              // with masks keeps the loop vectorizable.
-              std::uint32_t live = 0;
-              std::uint32_t count_pos = 0;
-              for (std::uint32_t k = cls.begin; k < cls.end; ++k) {
-                const auto row = cache_rows[k];
-                const std::uint32_t unflipped = base_mask[row] == 0 ? 1u : 0u;
-                live += unflipped;
-                count_pos += unflipped & (base_spins[row] > 0 ? 1u : 0u);
-              }
-              const std::uint32_t count_neg = live - count_pos;
-              ws.sum[0][ci] = static_cast<double>(count_pos);
-              ws.sum[1][ci] = static_cast<double>(count_neg);
-            } else {
-              double sum_pos = 0.0;
-              double sum_neg = 0.0;
-              for (std::uint32_t k = cls.begin; k < cls.end; ++k) {
-                const auto row = cache_rows[k];
-                if (base_mask[row]) continue;
-                const double m = cache_mults[k];
-                if (base_spins[row] > 0)
-                  sum_pos += m;
-                else
-                  sum_neg += m;
-              }
-              ws.sum[0][ci] = sum_pos;
-              ws.sum[1][ci] = sum_neg;
-            }
-          }
-        };
+  const bool track_sq = read_noise_rel > 0.0;
+  const double sigma_adc = adc_.noise_sigma_current();
+  const double adc_variance = sigma_adc * sigma_adc;
+  const double square_grid = array_->square_grid();
+  const double inv_square_grid = 1.0 / square_grid;
 
-    for (const auto j : flips) {
-      // sigma_c_j = -sigma_j (the flipped value); its sign selects the
-      // DL-polarity pass this column participates in.
-      const int q = -static_cast<int>(spins[j]);
+  // Hot state as raw pointers/locals: the units below read them through
+  // the lambda captures on every unit, and loading them out of the
+  // workspace vectors once keeps the per-unit code free of repeated
+  // data-pointer indirections (they are loop-invariant; the compiler
+  // cannot hoist them itself past the scratch stores).
+  const double* const z_data = ws.z.data();
+  const std::uint32_t* const conv_base = ws.conv_base.data();
+  double* const band_acc = ws.band_acc.data();
+  const std::uint8_t* const flip_mask = ws.flip_mask.data();
+  const ProgrammedArray::ColumnView* const flip_view = ws.flip_view.data();
+  const int* const flip_q = ws.flip_q.data();
+  BandScratch& sc = scratch_;
+  const double* const batt = band_attenuation_.data();
+  const ising::Spin* const spin_data = spins.data();
 
-      const std::uint32_t total_present =
-          array_->column_total_present_segments(j);
-      const std::size_t column_conversions =
-          2 * static_cast<std::size_t>(total_present);
-      trace.tile_activations += array_->column_active_bands(j);
-      trace.partial_sum_updates += 2 * static_cast<std::size_t>(
-          total_present - array_->column_union_present_segments(j));
-      // No stochastic term anywhere in the sensing chain: the partial
-      // currents are exact functions of the programmed cells, so the
-      // digital merge of the per-tile partial sums reconstructs the
-      // logical-array conversion, and the engine evaluates the shared
-      // quantizer once per logical segment (for a monolithic band: once
-      // per segment class, fanning the code out through the precomputed
-      // per-class net weight).  The ledger still counts one conversion per
-      // (tile, physical column) sensed, and the noise cursor still
-      // advances by that count so the indexing stays aligned with
-      // implementations that convert per tile segment.
-      if (num_bands == 1) {
-        const auto classes = array_->column_classes(0, j);
-        accumulate_classes(classes, spins.data(), ws.flip_mask.data());
-
-        // Segments sharing a class see the same current, hence the same
-        // code, so one conversion per class plus the precomputed per-class
-        // net weight replaces the per-segment shift-and-add.  Codes and
-        // weights are integers (< 2^53 in every partial sum), so this
-        // association is bit-identical to the per-segment order.
-        const auto weights = array_->column_class_weights(0, j);
-        for (const int p : {+1, -1}) {  // row-polarity (FG) passes
-          const int bank = p > 0 ? 0 : 1;
-          double column_acc = 0.0;
-          for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-            const std::uint32_t code =
-                adc_.convert_ideal(current_scale * ws.sum[bank][ci]);
-            column_acc += weights[ci] * static_cast<double>(code);
-          }
-          accumulator += static_cast<double>(p * q) * column_acc;
-        }
-      } else {
-        // Multi-tile grid: per band, accumulate the band's class sums and
-        // scatter them through the band's segment refs into the
-        // per-logical-segment totals (exact for integer multiplier sums --
-        // the "integer regrouping" the tiled equivalence suite pins), then
-        // convert each logical segment once.
-        std::uint32_t union_mask = 0;
-        for (std::size_t b = 0; b < static_cast<std::size_t>(bits); ++b) {
-          ws.det_sum[0][0][b] = ws.det_sum[0][1][b] = 0.0;
-          ws.det_sum[1][0][b] = ws.det_sum[1][1][b] = 0.0;
-        }
-        for (std::size_t band = 0; band < num_bands; ++band) {
-          if (array_->column_present_segments(band, j) == 0) continue;
-          const auto row0 = bands[band].row_begin;
-          accumulate_classes(array_->column_classes(band, j),
-                             spins.data() + row0,
-                             ws.flip_mask.data() + row0);
-          const auto segments = array_->column_segments(band, j);
-          for (std::size_t s = 0; s < slots; ++s) {
-            if (!segments[s].present) continue;
-            const std::size_t b = s >> 1;
-            const std::size_t plane = s & 1;
-            ws.det_sum[0][plane][b] += ws.sum[0][segments[s].cls];
-            ws.det_sum[1][plane][b] += ws.sum[1][segments[s].cls];
-            union_mask |= 1u << s;
-          }
-        }
-        for (const int p : {+1, -1}) {  // row-polarity (FG) passes
-          const int bank = p > 0 ? 0 : 1;
-          std::int64_t pass_acc = 0;
-          for (std::size_t s = 0; s < slots; ++s) {
-            if (!((union_mask >> s) & 1u)) continue;
-            const std::size_t b = s >> 1;
-            const std::size_t plane = s & 1;
-            const std::uint32_t code = adc_.convert_ideal(
-                current_scale * ws.det_sum[bank][plane][b]);
-            const auto shifted = static_cast<std::int64_t>(
-                static_cast<std::uint64_t>(code) << b);
-            pass_acc += plane == 0 ? shifted : -shifted;
-          }
-          accumulator +=
-              static_cast<double>(p * q) * static_cast<double>(pass_acc);
-        }
+  // Sweep lanes of one (flip, band) unit: the unit's cells accumulated
+  // per bank, then a gather of the present slots into [pass][slot] lanes
+  // (squared sums leave grid units here, exactly).  Cells of flipped rows
+  // and of the other spin bank only ever contributed exact +0.0 terms to
+  // the historical select-and-multiply form, so skipping them outright
+  // leaves every (nonnegative) accumulator bit-identical to the filtered
+  // per-segment walk of the reference kernel.
+  const auto sweep_lanes = [&](std::size_t band, std::size_t fi,
+                               std::span<const std::uint8_t> src)
+                               FECIM_ALWAYS_INLINE {
+    accumulate_banks(flip_view[fi], array_->column_band_cells(band, flips[fi]),
+                     spin_data, flip_mask, all_mults.data(),
+                     static_cast<std::size_t>(bits), track_sq,
+                     inv_square_grid, sc.nsum, sc.nsq);
+    const std::size_t present = src.size();
+    for (std::size_t i = 0; i < present; ++i) {
+      sc.lane_sum[i] = sc.nsum[src[i]];
+      sc.lane_sum[present + i] = sc.nsum[slots + src[i]];
+    }
+    if (track_sq)
+      for (std::size_t i = 0; i < present; ++i) {
+        sc.lane_sq[i] = sc.nsq[src[i]] * square_grid;
+        sc.lane_sq[present + i] = sc.nsq[slots + src[i]] * square_grid;
       }
-      trace.adc_conversions += column_conversions;
-      noise_.next_conversion += column_conversions;
+  };
+
+  // Incremental lanes of one (flip, band) unit: the +1 pass reads the
+  // run's +1-bank sums, the -1 pass the slot totals minus them, and each
+  // other flipped row with a cell in the unit then leaves its bank.
+  // Every value is an exact subset sum of the segment's cells (the array
+  // proved it at program time), so the lanes equal the sweep's bit for
+  // bit.
+  const auto incremental_lanes = [&](std::size_t band, std::size_t fi,
+                                     std::span<const std::uint8_t> src)
+                                     FECIM_ALWAYS_INLINE {
+    const std::size_t present = src.size();
+    const double* FECIM_RESTRICT plus =
+        state_.data() +
+        state_stride_ * array_->column_slot_begin(band, flips[fi]);
+    const double* FECIM_RESTRICT total = plus + present;
+    for (std::size_t i = 0; i < present; ++i) {
+      sc.lane_sum[i] = plus[i];
+      sc.lane_sum[present + i] = total[i] - plus[i];
     }
-  } else {
-    const auto all_mults = array_->multipliers();
-    // Stochastic readout over independent (flip, band) units.
-    //
-    // Serial prelude: ledger accounting, the canonical conversion-index
-    // layout (flip-major, then band, then polarity/bit/plane -- exactly the
-    // cursor order of the reference kernel), and ONE widened ziggurat fill
-    // covering every conversion of the evaluation.  Each keyed draw is a
-    // pure function of its absolute conversion index, so one evaluation-wide
-    // fill equals the historical per-(flip, band) fills element-wise, and
-    // any regrouping of the units below sees identical noise.
-    const std::size_t flip_count = flips.size();
-    if (ws.conv_base.size() < flip_count * num_bands)
-      ws.conv_base.resize(flip_count * num_bands);
-    if (ws.flip_view.size() < flip_count) {
-      ws.flip_view.resize(flip_count);
-      ws.flip_q.resize(flip_count);
+    if (track_sq) {
+      const double* FECIM_RESTRICT plus_sq = plus + 2 * present;
+      const double* FECIM_RESTRICT total_sq = plus + 3 * present;
+      for (std::size_t i = 0; i < present; ++i) {
+        sc.lane_sq[i] = plus_sq[i];
+        sc.lane_sq[present + i] = total_sq[i] - plus_sq[i];
+      }
     }
-    std::size_t total_conversions = 0;
+    const auto& view = flip_view[fi];
+    const auto range = array_->column_band_cells(band, flips[fi]);
+    for (std::size_t other = 0; other < flip_count; ++other) {
+      const auto f = flips[other];
+      if (other == fi || f < bands[band].row_begin ||
+          f >= bands[band].row_end)
+        continue;
+      const std::uint32_t k = find_cell(view.rows, range.begin, range.end, f);
+      if (k == range.end) continue;
+      const std::size_t lane0 = spin_data[f] > 0 ? 0 : present;
+      move_cell<false>(
+          sc.lane_sum + lane0, track_sq ? sc.lane_sq + lane0 : nullptr, src,
+          all_mults.data() +
+              (view.first_entry + k) * static_cast<std::size_t>(bits),
+          view.magnitudes[k] < 0 ? static_cast<std::uint32_t>(bits) : 0,
+          static_cast<std::uint32_t>(bits), square_grid, inv_square_grid);
+    }
+  };
+
+  // Band-major walk over the units.  Every weighted-code term, unit sum
+  // and band_acc partial is an exact integer well under 2^53, so any
+  // association here matches the historical int64 shift-and-add
+  // bit-for-bit.
+  for (std::size_t band = 0; band < num_bands; ++band) {
+    // Association mirrors the per-cell form: (i_on * att) * sum and
+    // ((rel * i_on) * att) * sqrt(sq_sum), keeping results bit-identical.
+    const double att_b = batt[band];
+    const double current_scale_b = i_on * att_b;
+    const double noise_scale_b = (read_noise_rel * i_on) * att_b;
+    const double noise_var_scale = noise_scale_b * noise_scale_b;
     for (std::size_t fi = 0; fi < flip_count; ++fi) {
       const auto j = flips[fi];
-      ws.flip_view[fi] = array_->column(j);
-      // sigma_c_j = -sigma_j (the flipped value); its sign selects the
-      // DL-polarity pass this column participates in.
-      ws.flip_q[fi] = -static_cast<int>(spins[j]);
-      const std::uint32_t total_present =
-          array_->column_total_present_segments(j);
-      trace.tile_activations += array_->column_active_bands(j);
-      trace.partial_sum_updates += 2 * static_cast<std::size_t>(
-          total_present - array_->column_union_present_segments(j));
-      trace.adc_conversions += 2 * static_cast<std::size_t>(total_present);
-      for (std::size_t band = 0; band < num_bands; ++band) {
-        ws.conv_base[fi * num_bands + band] =
-            static_cast<std::uint32_t>(total_conversions);
-        total_conversions +=
-            2 * static_cast<std::size_t>(
-                    array_->column_present_segments(band, j));
-      }
-    }
-    if (ws.z.size() < total_conversions) ws.z.resize(total_conversions);
-    noise_.conversion.normal_fill(noise_.next_conversion,
-                                  {ws.z.data(), total_conversions});
-    noise_.next_conversion += total_conversions;
-
-    const bool track_sq = read_noise_rel > 0.0;
-    const double sigma_adc = adc_.noise_sigma_current();
-    const double adc_variance = sigma_adc * sigma_adc;
-    const double square_grid = array_->square_grid();
-    const double inv_square_grid = 1.0 / square_grid;
-
-    // Hot state as raw pointers/locals: the units below read them through
-    // the lambda captures on every unit, and loading them out of the
-    // workspace vectors once keeps the per-unit code free of repeated
-    // data-pointer indirections (they are loop-invariant; the compiler
-    // cannot hoist them itself past the scratch stores).
-    const double* const z_data = ws.z.data();
-    const std::uint32_t* const conv_base = ws.conv_base.data();
-    double* const band_acc = ws.band_acc.data();
-    const std::uint8_t* const flip_mask = ws.flip_mask.data();
-    const ProgrammedArray::ColumnView* const flip_view = ws.flip_view.data();
-    const int* const flip_q = ws.flip_q.data();
-    BandScratch& sc = scratch_;
-    const double* const batt = band_attenuation_.data();
-    const ising::Spin* const spin_data = spins.data();
-
-    // Sweep lanes of one (flip, band) unit: the unit's cells accumulated
-    // per bank, then a gather of the present slots into [pass][slot] lanes
-    // (squared sums leave grid units here, exactly).  Cells of flipped rows
-    // and of the other spin bank only ever contributed exact +0.0 terms to
-    // the historical select-and-multiply form, so skipping them outright
-    // leaves every (nonnegative) accumulator bit-identical to the filtered
-    // per-segment walk of the reference kernel.
-    const auto sweep_lanes = [&](std::size_t band, std::size_t fi,
-                                 std::span<const std::uint8_t> src)
-                                 FECIM_ALWAYS_INLINE {
-      accumulate_banks(flip_view[fi], array_->column_band_cells(band, flips[fi]),
-                       spin_data, flip_mask, all_mults.data(),
-                       static_cast<std::size_t>(bits), track_sq,
-                       inv_square_grid, sc.nsum, sc.nsq);
-      const std::size_t present = src.size();
-      for (std::size_t i = 0; i < present; ++i) {
-        sc.lane_sum[i] = sc.nsum[src[i]];
-        sc.lane_sum[present + i] = sc.nsum[slots + src[i]];
-      }
-      if (track_sq)
-        for (std::size_t i = 0; i < present; ++i) {
-          sc.lane_sq[i] = sc.nsq[src[i]] * square_grid;
-          sc.lane_sq[present + i] = sc.nsq[slots + src[i]] * square_grid;
-        }
-    };
-
-    // Incremental lanes of one (flip, band) unit: the +1 pass reads the
-    // run's +1-bank sums, the -1 pass the slot totals minus them, and each
-    // other flipped row with a cell in the unit then leaves its bank.
-    // Every value is an exact subset sum of the segment's cells (the array
-    // proved it at program time), so the lanes equal the sweep's bit for
-    // bit.
-    const auto incremental_lanes = [&](std::size_t band, std::size_t fi,
-                                       std::span<const std::uint8_t> src)
-                                       FECIM_ALWAYS_INLINE {
-      const std::size_t present = src.size();
-      const double* FECIM_RESTRICT plus =
-          state_.data() +
-          state_stride_ * array_->column_slot_begin(band, flips[fi]);
-      const double* FECIM_RESTRICT total = plus + present;
-      for (std::size_t i = 0; i < present; ++i) {
-        sc.lane_sum[i] = plus[i];
-        sc.lane_sum[present + i] = total[i] - plus[i];
-      }
-      if (track_sq) {
-        const double* FECIM_RESTRICT plus_sq = plus + 2 * present;
-        const double* FECIM_RESTRICT total_sq = plus + 3 * present;
-        for (std::size_t i = 0; i < present; ++i) {
-          sc.lane_sq[i] = plus_sq[i];
-          sc.lane_sq[present + i] = total_sq[i] - plus_sq[i];
-        }
-      }
-      const auto& view = flip_view[fi];
-      const auto range = array_->column_band_cells(band, flips[fi]);
-      for (std::size_t other = 0; other < flip_count; ++other) {
-        const auto f = flips[other];
-        if (other == fi || f < bands[band].row_begin ||
-            f >= bands[band].row_end)
-          continue;
-        const std::uint32_t k = find_cell(view.rows, range.begin, range.end, f);
-        if (k == range.end) continue;
-        const std::size_t lane0 = spin_data[f] > 0 ? 0 : present;
-        move_cell<false>(
-            sc.lane_sum + lane0, track_sq ? sc.lane_sq + lane0 : nullptr, src,
-            all_mults.data() +
-                (view.first_entry + k) * static_cast<std::size_t>(bits),
-            view.magnitudes[k] < 0 ? static_cast<std::uint32_t>(bits) : 0,
-            static_cast<std::uint32_t>(bits), square_grid, inv_square_grid);
-      }
-    };
-
-    // Band-major walk over the units.  Every weighted-code term, unit sum
-    // and band_acc partial is an exact integer well under 2^53, so any
-    // association here matches the historical int64 shift-and-add
-    // bit-for-bit.
-    for (std::size_t band = 0; band < num_bands; ++band) {
-      const double att_b = batt[band];
-      const double current_scale_b = i_on * att_b;
-      const double noise_scale_b = (read_noise_rel * i_on) * att_b;
-      const double noise_var_scale = noise_scale_b * noise_scale_b;
-      for (std::size_t fi = 0; fi < flip_count; ++fi) {
-        const auto j = flips[fi];
-        const auto src = array_->column_slot_src(band, j);
-        if (src.empty()) continue;  // tile stores nothing: no conversion
-        if (state_live_)
-          incremental_lanes(band, fi, src);
-        else
-          sweep_lanes(band, fi, src);
-        const double* z = z_data + conv_base[fi * num_bands + band];
-        const double* wgt = array_->column_slot_weights(band, j).data();
-        const double unit =
-            track_sq
-                ? convert_unit<true>(sc.lane_sum, sc.lane_sq, z, wgt,
-                                     src.size(), current_scale_b,
-                                     noise_var_scale, adc_variance, sigma_adc,
-                                     adc_)
-                : convert_unit<false>(sc.lane_sum, sc.lane_sq, z, wgt,
-                                      src.size(), current_scale_b,
-                                      noise_var_scale, adc_variance, sigma_adc,
-                                      adc_);
-        band_acc[band] += static_cast<double>(flip_q[fi]) * unit;
-      }
+      const auto src = array_->column_slot_src(band, j);
+      if (src.empty()) continue;  // tile stores nothing: no conversion
+      if (state_live_)
+        incremental_lanes(band, fi, src);
+      else
+        sweep_lanes(band, fi, src);
+      const double* z = z_data + conv_base[fi * num_bands + band];
+      const double* wgt = array_->column_slot_weights(band, j).data();
+      const double unit =
+          track_sq
+              ? convert_unit<true>(sc.lane_sum, sc.lane_sq, z, wgt,
+                                   src.size(), current_scale_b,
+                                   noise_var_scale, adc_variance, sigma_adc,
+                                   adc_)
+              : convert_unit<false>(sc.lane_sum, sc.lane_sq, z, wgt,
+                                    src.size(), current_scale_b,
+                                    noise_var_scale, adc_variance, sigma_adc,
+                                    adc_);
+      band_acc[band] += static_cast<double>(flip_q[fi]) * unit;
     }
   }
 
@@ -660,19 +493,12 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   // Fixed digital calibration: codes carry I_on(vbg) * attenuation / LSB;
   // dividing by I_on(vbg_max) * attenuation re-expresses the result as
   // (sigma_r^T J_hat sigma_c) * [I_on(vbg) / I_on(vbg_max)], i.e. the raw
-  // VMV times the hardware realization of f(T).  The stochastic path
-  // calibrates each tile's code sum by that tile's own attenuation; the
-  // deterministic path divides the shared logical-array factor back out.
-  if (deterministic_readout_) {
-    const double to_einc =
-        couplings.scale() * adc_.lsb_current() / (i_on_max_ * attenuation_);
-    result.e_inc = accumulator * to_einc;
-  } else {
-    double e_inc = 0.0;
-    for (std::size_t band = 0; band < num_bands; ++band)
-      e_inc += ws.band_acc[band] * band_to_einc_[band];
-    result.e_inc = e_inc;
-  }
+  // VMV times the hardware realization of f(T).  Each tile's code sum is
+  // calibrated by that tile's own attenuation.
+  double e_inc = 0.0;
+  for (std::size_t band = 0; band < num_bands; ++band)
+    e_inc += ws.band_acc[band] * band_to_einc_[band];
+  result.e_inc = e_inc;
   const double f_hw = i_on / i_on_max_;
   result.raw_vmv = f_hw > 0.0 ? result.e_inc / f_hw : 0.0;
 

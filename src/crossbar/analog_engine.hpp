@@ -16,24 +16,16 @@
 // physical tiles (ProgrammedArray::bands()); the engine sweeps the row
 // bands, senses each band's partial column currents with that band's own
 // IR-drop attenuation, and accumulates the per-tile results digitally into
-// per-logical-column sums.  Stochastic readout performs one genuine ADC
+// per-logical-column sums.  Every evaluation performs one genuine ADC
 // conversion (one keyed draw, one quantization, per-tile calibration) per
-// (tile, present physical column) in the canonical cursor order, so noisy
-// results are a pure function of (run seed, tile shape).  Deterministic
-// readout accumulates the exact per-tile partial sums digitally and
-// evaluates the shared quantizer once per logical segment at the
-// logical-array calibration point -- the tile-grid counterpart of the
-// per-class shared conversion below -- which makes the deterministic result
-// partition-invariant (bit-identical across tile shapes whenever the
-// partial sums regroup exactly, i.e. integer multiplier sums) while the
-// ledger still counts every physical per-tile conversion.
+// (tile, present physical column) in the canonical cursor order, so results
+// are a pure function of (run seed, tile shape).  A noise-free
+// configuration (no read noise, no ADC noise) runs the same conversions
+// with sigma = 0: every draw adds +-0, so its results ignore the run seed.
 //
-// Hot path: deterministic readout walks the array's precomputed per-band
-// segment-class cache (one pass over each distinct segment class
-// accumulates both row polarities); stochastic readout fills each
-// (flip, band) unit's conversion lanes, [pass][slot] in cursor order, and
-// converts them in one contiguous kernel.  The lanes come from one of two
-// sources:
+// Hot path: each (flip, band) unit fills its conversion lanes, [pass][slot]
+// in cursor order, and converts them in one contiguous kernel.  The lanes
+// come from one of two sources:
 //  * the sweep: the unit's cells against the entry-major multipliers,
 //    bank-selected per cell (every array, and every caller that hands
 //    evaluate() arbitrary spin vectors);
@@ -46,9 +38,7 @@
 //    support it (ProgrammedArray::supports_incremental_readout()), so both
 //    sources produce the same bits (PERF.md invariant 10).
 // Neither decodes magnitudes per call, and both track flip membership
-// through a reusable per-engine workspace bitmask.  Construction checks
-// that a deterministic configuration meets an array that carries the class
-// cache (arrays programmed with read noise skip it).
+// through a reusable per-engine workspace bitmask.
 // Readout noise comes from counter-keyed streams (ReadoutNoise) indexed by
 // the canonical conversion order, batched per (column, tile) through the
 // ziggurat sampler -- no sequential RNG anywhere in the sensing chain.  All
@@ -74,17 +64,13 @@ struct AnalogEngineConfig {
   double full_scale_cells = 64.0;
   bool model_ir_drop = true;
   circuit::WireTech wire{};
-  /// Precomputed IR-drop attenuation of the *logical* (monolithic) array
-  /// for this (array, wire) pair; <= 0 means solve the MNA ladder at
-  /// construction.  Campaign annealers solve it once and stamp it here so
+  /// Precomputed per-row-band IR-drop attenuations (index = band) for this
+  /// (array, wire) pair.  Used when the size matches the array's band
+  /// count; otherwise (empty: not solved yet) solved at construction, one
+  /// MNA solve per distinct band height -- at most two under the balanced
+  /// split.  Campaign annealers solve them once and stamp them here so
   /// per-run engine instances are cheap -- the array is immutable, so the
-  /// factor cannot change between runs.  This is also the deterministic
-  /// readout's calibration point (see file comment).
-  double cached_ir_attenuation = 0.0;
-  /// Precomputed per-row-band attenuations (index = band).  Used when the
-  /// size matches the array's band count; otherwise solved at construction
-  /// (one MNA solve per distinct band height -- at most two under the
-  /// balanced split).
+  /// factors cannot change between runs.
   std::vector<double> cached_band_ir_attenuation;
 };
 
@@ -107,13 +93,12 @@ class AnalogCrossbarEngine final : public EincEngine {
   void on_flips_applied(std::span<const ising::Spin> spins_after,
                         const ising::FlipSet& flips) override;
 
-  /// Opt into the incremental stochastic readout.  The caller takes on the
+  /// Opt into the incremental readout.  The caller takes on the
   /// local-field cache's protocol (engine.hpp): every applied flip set is
   /// reported through on_flips_applied(), and a wholesale spin rewrite
   /// needs begin_run() before the next evaluate().  The state is built from
-  /// the spins of the next evaluate().  A no-op for deterministic readout
-  /// and for arrays without supports_incremental_readout(), which keep the
-  /// sweep.
+  /// the spins of the next evaluate().  A no-op for arrays without
+  /// supports_incremental_readout(), which keep the sweep.
   void enable_incremental_readout();
   /// Whether evaluations read the incremental state.
   bool incremental_readout() const noexcept { return incremental_; }
@@ -134,38 +119,28 @@ class AnalogCrossbarEngine final : public EincEngine {
   }
 
   const circuit::SarAdc& adc() const noexcept { return adc_; }
-  /// IR-drop attenuation of the logical (monolithic) array -- the fixed
-  /// digital calibration point.
-  double ir_attenuation() const noexcept { return attenuation_; }
   /// Per-row-band (tile) IR-drop attenuations; band_attenuations()[0] is
-  /// the nominal (full-height) tile and equals ir_attenuation() for a
-  /// monolithic array.
+  /// the nominal (full-height) tile, which on a monolithic array is the
+  /// whole column line.
   std::span<const double> band_attenuations() const noexcept {
     return band_attenuation_;
   }
   /// Nominal per-tile attenuation (the full-height band).
   double tile_attenuation() const noexcept { return band_attenuation_[0]; }
-  /// Current stochastic readout state (streams + conversion cursor); the
+  /// Current readout noise state (streams + conversion cursor); the
   /// equivalence tests use it to check cursor lockstep with the reference.
   const ReadoutNoise& readout_noise() const noexcept { return noise_; }
 
  private:
   /// Reusable per-engine scratch so evaluate() performs no heap allocation.
-  /// Deterministic readout accumulates per segment class (`sum`, index 0 =
-  /// +1 row-polarity pass, 1 = -1; a (band, column) has at most
-  /// bits * 2 <= 32 distinct classes) and, on >1-band grids, merges the
-  /// band partial sums into `det_sum` before the shared conversion.
-  /// Stochastic readout works per (flip, band) unit out of the unit
-  /// scratch (below); `z` holds the whole evaluation's batched
-  /// per-conversion draws (one widened ziggurat fill), `conv_base` the
-  /// per-(flip, band) offsets into it in canonical cursor order, and
-  /// `band_acc` accumulates each band's signed code sums for the per-tile
-  /// calibration.
+  /// The readout works per (flip, band) unit out of the unit scratch
+  /// (below); `z` holds the whole evaluation's batched per-conversion draws
+  /// (one widened ziggurat fill), `conv_base` the per-(flip, band) offsets
+  /// into it in canonical cursor order, and `band_acc` accumulates each
+  /// band's signed code sums for the per-tile calibration.
   struct EvalWorkspace {
     std::vector<std::uint8_t> flip_mask;
-    double sum[2][32];
-    double det_sum[2][2][16];  ///< [bank][plane][bit] cross-band totals
-    std::vector<double> z;     ///< batched standard-normal conversion draws
+    std::vector<double> z;  ///< batched standard-normal conversion draws
     std::vector<std::uint32_t> conv_base;  ///< [flip * bands + band] -> z offset
     std::vector<double> band_acc;  ///< per-band signed code accumulators
     /// Per-flip invariants hoisted out of the (flip, band) sweep units:
@@ -176,7 +151,7 @@ class AnalogCrossbarEngine final : public EincEngine {
     std::vector<int> flip_q;
   };
 
-  /// Stochastic unit scratch.  The sweep accumulates current sums /
+  /// Unit scratch.  The sweep accumulates current sums /
   /// squared-multiplier sums into `nsum`/`nsq` packed
   /// [bank * 2bits + plane * bits + bit] (4 * bits <= 64 lanes), so its
   /// bank-selecting per-cell inner bit loop is branch-free and unit-stride.
@@ -198,16 +173,12 @@ class AnalogCrossbarEngine final : public EincEngine {
   std::shared_ptr<const ProgrammedArray> array_;
   AnalogEngineConfig config_;
   circuit::SarAdc adc_;
-  double attenuation_ = 1.0;              ///< logical-array calibration
   std::vector<double> band_attenuation_;  ///< per row band (tile)
   /// scale * LSB / (I_on(vbg_max) * band_attenuation): the per-tile digital
-  /// calibration of the stochastic readout, precomputed so the per-eval
-  /// merge avoids a divide per band.
+  /// calibration, precomputed so the per-eval merge avoids a divide per
+  /// band.
   std::vector<double> band_to_einc_;
   double i_on_max_ = 0.0;
-  /// No read noise on the array and no ADC noise: evaluate() takes the
-  /// shared-conversion path over the array's segment-class cache.
-  bool deterministic_readout_ = false;
   // on_current() evaluates the EKV transistor model; the DAC-quantized V_BG
   // schedule repeats levels for long stretches, so memoize the last level.
   double cached_vbg_ = -1.0;

@@ -70,7 +70,7 @@ ArrayDigest array_digest(const QuantizedCouplings& couplings,
 
   // Programming-time stochastic state: variation model + its seed.  (Read
   // noise is re-keyed per run and its draws do not live in the array, but
-  // its rate decides whether the array builds the segment-class cache.)
+  // the engine reads its rate from the array's variation_params().)
   b.add_double(variation.vth_sigma);
   b.add_double(variation.read_noise_rel);
   b.add_double(variation.stuck_off_rate);

@@ -66,8 +66,7 @@ struct EincResult {
 /// (tile, physical column)), so noisy results are a pure function of
 /// (seed, tile shape) and deliberately differ between tile shapes.
 /// `next_conversion` advances by the number of conversions in each
-/// evaluation (even fully deterministic ones, which keep the cursor aligned
-/// without computing any draw).
+/// evaluation, noise-free ones (sigma = 0) included.
 struct ReadoutNoise {
   util::NoiseStream conversion;  ///< total input-referred (kReadoutNoise)
   std::uint64_t next_conversion = 0;

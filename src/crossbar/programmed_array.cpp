@@ -53,10 +53,10 @@ ProgrammedArray::ProgrammedArray(const QuantizedCouplings& couplings,
   // the biased float exponent range of the V_TH-sampled multipliers (the
   // exactness proof's input, scanned here so no array pays a second pass
   // over its cells; a subnormal records exponent 0).  The slots of bits a
-  // cell does not store are zeroed instead: the stochastic readout sweep
-  // can then accumulate every (cell, bit) unconditionally -- absent bits
-  // contribute exact +0.0 -- which removes the per-bit presence branch from
-  // the hot loop and keeps it vectorizable.  bit_multiplier() and
+  // cell does not store are zeroed instead: the readout sweep can then
+  // accumulate every (cell, bit) unconditionally -- absent bits contribute
+  // exact +0.0 -- which removes the per-bit presence branch from the hot
+  // loop and keeps it vectorizable.  bit_multiplier() and
   // multipliers() therefore report 0 for absent bits, and absent bits are
   // never counted as faulted.
   struct ChunkStats {
@@ -216,10 +216,6 @@ void ProgrammedArray::build_column_cache(std::uint32_t exponent_lo,
     slot_ptr_[slot + 1] = static_cast<std::uint32_t>(slot_src_.size());
   }
 
-  // Only the deterministic readout reads the class cache, and it requires
-  // an array without read noise (see file comment).
-  if (variation_.read_noise_rel <= 0.0) build_class_cache(present_masks);
-
   // A column sums at most max_cells multipliers below 2^(e_max + 1), so
   // its squares scaled by 2^-(2 (e_max + 1) + width - 53) sum below 2^53
   // and every grid-rounded squared sum is exact.  Its multipliers are
@@ -268,101 +264,6 @@ void ProgrammedArray::build_mirror() {
   if (!symmetric) mirror_.clear();
 }
 
-void ProgrammedArray::build_class_cache(
-    std::span<const std::uint32_t> present_masks) {
-  const auto bits = static_cast<std::size_t>(couplings_.bits());
-  const std::size_t n = couplings_.num_spins();
-  const std::size_t num_bands = bands_.size();
-
-  segments_.assign(num_bands * n * bits * 2, SegmentRef{});
-  class_ptr_.assign(num_bands * n + 1, 0);
-  // Heuristic reserve: with segment-class dedup the common cases (unit
-  // weights, coarse quantization) store each programmed entry about once;
-  // fully-distinct multipliers can grow this toward nonzeros * bits, which
-  // the vectors absorb geometrically during this one-time build and
-  // shrink_to_fit trims below.
-  cache_rows_.reserve(couplings_.nonzeros());
-  cache_mults_.reserve(couplings_.nonzeros());
-
-  std::vector<std::uint32_t> stage_rows;
-  std::vector<float> stage_mults;
-  for (std::size_t band = 0; band < num_bands; ++band) {
-    const std::uint32_t row0 = bands_[band].row_begin;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t slot = band * n + j;
-      const std::uint32_t mask = present_masks[slot];
-      const auto view = column(j);
-      const auto range = column_band_cells(band, j);
-      const std::size_t class_base = classes_.size();
-      // Present segments in the canonical order s = bit * 2 + plane.
-      for (std::size_t s = 0; s < bits * 2; ++s) {
-        if (!((mask >> s) & 1u)) continue;
-        const std::size_t b = s >> 1;
-        const int plane = static_cast<int>(s & 1);
-        stage_rows.clear();
-        stage_mults.clear();
-        bool all_unit = true;
-        for (std::size_t k = range.begin; k < range.end; ++k) {
-          const std::int32_t mag = view.magnitudes[k];
-          const auto abs_mag = static_cast<std::uint32_t>(std::abs(mag));
-          if (!(abs_mag & (1u << b))) continue;
-          if ((mag < 0 ? 1 : 0) != plane) continue;
-          const float m = multipliers_[(view.first_entry + k) * bits + b];
-          if (m == 0.0F) continue;  // stuck-off: exact +0.0 contribution
-          stage_rows.push_back(view.rows[k] - row0);  // band-relative
-          stage_mults.push_back(m);
-          all_unit &= m == 1.0F;
-        }
-
-        // Dedupe against this (band, column)'s existing classes: identical
-        // cell lists (common under coarse quantization, universal for unit
-        // weights) share one accumulation per evaluation.
-        std::size_t cls = classes_.size();
-        for (std::size_t ci = class_base; ci < classes_.size(); ++ci) {
-          const auto& cand = classes_[ci];
-          const std::size_t len = cand.end - cand.begin;
-          if (len != stage_rows.size()) continue;
-          bool match = true;
-          for (std::size_t e = 0; e < len && match; ++e) {
-            match = cache_rows_[cand.begin + e] == stage_rows[e] &&
-                    cache_mults_[cand.begin + e] == stage_mults[e];
-          }
-          if (match) {
-            cls = ci;
-            break;
-          }
-        }
-        if (cls == classes_.size()) {
-          SegmentClass fresh;
-          fresh.begin = static_cast<std::uint32_t>(cache_rows_.size());
-          cache_rows_.insert(cache_rows_.end(), stage_rows.begin(),
-                             stage_rows.end());
-          cache_mults_.insert(cache_mults_.end(), stage_mults.begin(),
-                              stage_mults.end());
-          fresh.end = static_cast<std::uint32_t>(cache_rows_.size());
-          fresh.all_unit = all_unit ? 1 : 0;
-          classes_.push_back(fresh);
-          class_weights_.push_back(0.0);
-        }
-        // A (band, column) has at most bits * 2 <= 32 segments, so at most
-        // 32 distinct classes -- the engine's accumulator banks rely on
-        // this.
-        const std::size_t local = cls - class_base;
-        FECIM_ASSERT(local < 32);
-        auto& seg = segments_[slot * bits * 2 + s];
-        seg.present = 1;
-        seg.cls = static_cast<std::uint8_t>(local);
-        class_weights_[cls] +=
-            (plane == 0 ? 1.0 : -1.0) * static_cast<double>(1u << b);
-      }
-      class_ptr_[slot + 1] = static_cast<std::uint32_t>(classes_.size());
-    }
-  }
-
-  cache_rows_.shrink_to_fit();
-  cache_mults_.shrink_to_fit();
-}
-
 double ProgrammedArray::on_current(double vbg) const noexcept {
   return device::DgFefet::on_current(device_params_, vbg);
 }
@@ -403,10 +304,7 @@ std::size_t ProgrammedArray::approx_bytes() const noexcept {
          vec_bytes(present_total_) + vec_bytes(present_union_) +
          vec_bytes(active_bands_) + vec_bytes(band_cell_ptr_) +
          vec_bytes(slot_src_) + vec_bytes(slot_weight_) +
-         vec_bytes(slot_ptr_) + vec_bytes(segments_) + vec_bytes(classes_) +
-         vec_bytes(class_ptr_) + vec_bytes(cache_rows_) +
-         vec_bytes(cache_mults_) + vec_bytes(class_weights_) +
-         vec_bytes(mirror_);
+         vec_bytes(slot_ptr_) + vec_bytes(mirror_);
 }
 
 }  // namespace fecim::crossbar

@@ -17,31 +17,17 @@
 // of physical tiles (crossbar::TilePlan).  The compute-relevant partition is
 // the row-band one: each band of rows senses its own partial column currents
 // which the digital periphery accumulates per logical column.  The array
-// therefore builds its bit-plane column metadata PER BAND -- presence,
-// conversion slots, segment classes and class weights are band-local, and
-// cached row indices are band-relative -- so the engines can sweep tiles
-// independently.  The all-zero TileShape default keeps one band covering
-// every row, which is byte-for-byte the historical monolithic layout.
+// therefore builds its bit-plane column metadata PER BAND -- cell ranges,
+// presence and conversion slots are band-local -- so the engines can sweep
+// tiles independently.  The all-zero TileShape default keeps one band
+// covering every row, which is byte-for-byte the historical monolithic
+// layout.
 //
 // Because the array is immutable once programmed, programming time also
-// derives what the readout reads, in two layers:
-//  * Sweep metadata, for every array: each (band, column)'s cell sub-range,
-//    its present (bit, plane) segments and their compacted conversion slots
-//    in the canonical cursor order.  The stochastic readout sweeps cells
-//    against multipliers() through it.
-//  * The segment-class cache, only for arrays programmed without read noise
-//    (has_class_cache()), because only the deterministic readout reads it:
-//    for every (band, logical column, bit, plane) the conducting cells are
-//    laid out contiguously as (band-relative row, multiplier) entries, and
-//    segments with identical content within a (band, column) are deduped
-//    into shared "segment classes" so the engine accumulates each distinct
-//    cell list once per evaluation instead of once per bit.  An array with
-//    read noise can never take the deterministic path, which needs a
-//    noise-free array and a noise-free ADC, so it skips the cache.
-// Both are pure re-layouts of column()/bit_multiplier(): the engine's sums
-// over them are bit-identical to decoding magnitudes on the fly (entries
-// stay in ascending intra-column order, and dropped zero-multiplier cells
-// only ever contributed exact +0.0 terms).
+// derives what the readout reads: each (band, column)'s cell sub-range, its
+// present (bit, plane) segments and their compacted conversion slots in the
+// canonical cursor order.  The readout sweeps cells against multipliers()
+// through it.
 //
 // Exact sums and the incremental readout (PERF.md invariant 10).  Every
 // array fixes one power-of-two grid for squared multipliers
@@ -141,8 +127,8 @@ class ProgrammedArray {
 
   /// Raw per-(entry, bit) multiplier storage, entry-major
   /// (multipliers()[entry * bits + bit], stuck-off cells stored as 0).  The
-  /// stochastic readout path decodes magnitudes per cell against it so the
-  /// per-bit loads are contiguous.
+  /// readout sweep decodes magnitudes per cell against it so the per-bit
+  /// loads are contiguous.
   std::span<const float> multipliers() const noexcept { return multipliers_; }
 
   /// Number of programmed (nonzero-magnitude) logical cells.
@@ -183,8 +169,8 @@ class ProgrammedArray {
   }
 
   // -------------------------------------------------------------------------
-  // Sweep metadata (every array; precomputed at program time, one copy per
-  // row band -- see file comment).
+  // Sweep metadata (precomputed at program time, one copy per row band --
+  // see file comment).
   // -------------------------------------------------------------------------
 
   /// Number of present (bit, plane) physical columns of logical column j in
@@ -205,8 +191,8 @@ class ProgrammedArray {
   }
 
   /// Present (bit, plane) segments of column j in the union over bands --
-  /// the distinct logical segments the deterministic shared conversion
-  /// evaluates.  partial-sum merges per pass = total - union.
+  /// the distinct logical segments the digital periphery accumulates
+  /// per-tile results into.  partial-sum merges per pass = total - union.
   std::uint32_t column_union_present_segments(std::size_t j) const {
     return present_union_[j];
   }
@@ -223,7 +209,7 @@ class ProgrammedArray {
   /// cursor walks.  column_slot_src()[i] is the segment's offset into a
   /// packed [plane][bit] accumulator block (plane * bits + bit), and
   /// column_slot_weights()[i] its signed digital weight plane_sign * 2^bit
-  /// (an exact integer-valued double).  The stochastic sweep iterates these
+  /// (an exact integer-valued double).  The readout sweep iterates these
   /// dense arrays instead of skipping absent segments branch-wise, which is
   /// what lets its conversion stage vectorize.
   std::span<const std::uint8_t> column_slot_src(std::size_t band,
@@ -278,83 +264,10 @@ class ProgrammedArray {
     return mirror_;
   }
 
-  // -------------------------------------------------------------------------
-  // Segment-class cache (arrays programmed without read noise only; one
-  // copy per row band -- see file comment).  The accessors below raise
-  // contract_error on an array without it.
-  // -------------------------------------------------------------------------
-
-  /// Whether the array carries the segment-class cache the deterministic
-  /// readout walks: exactly when it was programmed without read noise
-  /// (variation_params().read_noise_rel <= 0).
-  bool has_class_cache() const noexcept { return !class_ptr_.empty(); }
-
-  /// One distinct conducting-cell list of a (band, column).  Entries live in
-  /// cache_rows()/cache_multipliers()[begin, end), in ascending intra-column
-  /// order with zero-multiplier (stuck-off) cells dropped; cached rows are
-  /// relative to the band's row_begin.
-  struct SegmentClass {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    /// Every multiplier is exactly 1.0f (ideal or stuck-on cells): sums of
-    /// k ones equal double(k) exactly, so the engine may count instead of
-    /// accumulate.
-    std::uint8_t all_unit = 0;
-  };
-
-  /// Physical (bit, plane) column of a logical column within one row band:
-  /// whether it is present (see column_present_segments) and which class
-  /// holds its conducting cells.  `cls` indexes column_classes(band, j).
-  struct SegmentRef {
-    std::uint8_t cls = 0;
-    std::uint8_t present = 0;
-  };
-
-  /// Segment refs of logical column j in row band `band`, indexed
-  /// [bit * 2 + plane] (plane 0 = positive weights, 1 = negative).
-  std::span<const SegmentRef> column_segments(std::size_t band,
-                                              std::size_t j) const {
-    FECIM_EXPECTS(has_class_cache());
-    const auto stride = static_cast<std::size_t>(couplings_.bits()) * 2;
-    return {segments_.data() + (band * num_columns() + j) * stride, stride};
-  }
-
-  /// Distinct segment classes of (band, column j) (at most bits * 2).
-  std::span<const SegmentClass> column_classes(std::size_t band,
-                                               std::size_t j) const {
-    FECIM_EXPECTS(has_class_cache());
-    const std::size_t slot = band * num_columns() + j;
-    return {classes_.data() + class_ptr_[slot],
-            class_ptr_[slot + 1] - class_ptr_[slot]};
-  }
-
-  /// Net digital weight of each class of (band, column j), aligned with
-  /// column_classes(band, j):  sum over the present segments referencing
-  /// the class of  plane_sign * 2^bit.  Every term is an integer, so with a
-  /// deterministic readout (one shared code per class) accumulating
-  /// weight * code per class is bit-identical to the per-segment
-  /// shift-and-add in any association.
-  std::span<const double> column_class_weights(std::size_t band,
-                                               std::size_t j) const {
-    FECIM_EXPECTS(has_class_cache());
-    const std::size_t slot = band * num_columns() + j;
-    return {class_weights_.data() + class_ptr_[slot],
-            class_ptr_[slot + 1] - class_ptr_[slot]};
-  }
-
-  std::span<const std::uint32_t> cache_rows() const {
-    FECIM_EXPECTS(has_class_cache());
-    return cache_rows_;
-  }
-  std::span<const float> cache_multipliers() const {
-    FECIM_EXPECTS(has_class_cache());
-    return cache_mults_;
-  }
-
   /// Approximate heap footprint of the programmed array (cell multipliers,
-  /// coupling copy, per-band sweep metadata and, when built, the class
-  /// cache and the mirror offsets) -- the unit the array cache's byte
-  /// budget accounts in (crossbar/array_cache.hpp).
+  /// coupling copy, per-band sweep metadata and, when built, the mirror
+  /// offsets) -- the unit the array cache's byte budget accounts in
+  /// (crossbar/array_cache.hpp).
   std::size_t approx_bytes() const noexcept;
 
  private:
@@ -362,7 +275,6 @@ class ProgrammedArray {
   /// `exponent_lo`/`exponent_hi`: biased float exponent range of the
   /// nonzero multipliers (lo = 0 flags a subnormal; lo > hi: none).
   void build_column_cache(std::uint32_t exponent_lo, std::uint32_t exponent_hi);
-  void build_class_cache(std::span<const std::uint32_t> present_masks);
   /// Fills mirror_, or leaves it empty when the pattern is not symmetric
   /// without diagonal cells.
   void build_mirror();
@@ -388,13 +300,6 @@ class ProgrammedArray {
   std::vector<std::uint8_t> slot_src_;        // compacted slots, see accessor
   std::vector<double> slot_weight_;           // aligned with slot_src_
   std::vector<std::uint32_t> slot_ptr_;       // (band, column) -> slot range
-  // Segment-class cache; every vector stays empty without it.
-  std::vector<SegmentRef> segments_;  // [((band * n + j) * bits + bit) * 2 + plane]
-  std::vector<SegmentClass> classes_;    // grouped per (band, column)
-  std::vector<std::uint32_t> class_ptr_;  // (band, column) -> range in classes_
-  std::vector<std::uint32_t> cache_rows_;  // band-relative rows
-  std::vector<float> cache_mults_;
-  std::vector<double> class_weights_;      // aligned with classes_
   double square_grid_ = 1.0;
   double inv_square_grid_ = 1.0;
   std::vector<std::uint16_t> mirror_;  // per entry, see mirror_offsets()

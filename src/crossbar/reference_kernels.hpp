@@ -26,31 +26,22 @@ namespace fecim::crossbar::reference {
 
 /// Per-cell magnitude-decoding analog evaluation (the seed algorithm,
 /// extended to the tile grid): re-derives bit-plane column structure per
-/// call -- independently of the array's cache -- and scans the flip set
-/// linearly per row.  `adc`, `attenuation` (the logical-array calibration
-/// factor), `band_attenuation` (per row band, from
-/// AnalogCrossbarEngine::band_attenuations()) and `i_on_max` come from the
-/// engine under test so both paths share one calibration; `noise` is the
-/// run's counter-keyed readout cursor (engine side: begin_run /
+/// call -- independently of the array's sweep metadata -- and scans the
+/// flip set linearly per row.  `adc`, `band_attenuation` (per row band,
+/// from AnalogCrossbarEngine::band_attenuations()) and `i_on_max` come from
+/// the engine under test so both paths share one calibration; `noise` is
+/// the run's counter-keyed readout cursor (engine side: begin_run /
 /// readout_noise()), advanced by one index per present (band, segment)
 /// conversion in the canonical order.
 ///
-/// Contract encoded here (the engine mirrors it):
-///  * stochastic readout (read noise or ADC noise on): one genuine
-///    conversion -- one keyed draw, one quantization, per-tile calibration
-///    by that band's attenuation -- per present (band, bit, plane) segment
-///    and polarity pass; the read-noise sigma sums the cells' squared
-///    multipliers rounded onto the array's grid
-///    (ProgrammedArray::squared_multiplier);
-///  * deterministic readout: the per-tile partial sums merge digitally and
-///    the shared quantizer runs once per logical segment at the
-///    logical-array calibration point, so the result is partition-invariant
-///    (bit-identical across tile shapes whenever the partial sums regroup
-///    exactly); the cursor and the ledger still advance by the physical
-///    per-tile conversion count.
+/// Contract encoded here (the engine mirrors it): one genuine conversion
+/// -- one keyed draw, one quantization, per-tile calibration by that band's
+/// attenuation -- per present (band, bit, plane) segment and polarity pass.
+/// The read-noise sigma sums the cells' squared multipliers rounded onto
+/// the array's grid (ProgrammedArray::squared_multiplier).  A noise-free
+/// configuration (sigma = 0) converts the same segments without a draw.
 inline EincResult analog_evaluate(const ProgrammedArray& array,
                                   const circuit::SarAdc& adc,
-                                  double attenuation,
                                   std::span<const double> band_attenuation,
                                   double i_on_max,
                                   std::span<const ising::Spin> spins,
@@ -67,16 +58,13 @@ inline EincResult analog_evaluate(const ProgrammedArray& array,
   const int bits = couplings.bits();
   const double i_on = array.on_current(signal.vbg);
   const double read_noise_rel = array.variation_params().read_noise_rel;
-  const bool deterministic =
-      read_noise_rel <= 0.0 && adc.noise_sigma_current() <= 0.0;
 
   EincResult result;
   EngineTrace& trace = result.trace;
   trace.crossbar_passes = 4;
   trace.tile_ir_attenuation = band_attenuation[0];
 
-  double accumulator = 0.0;  // deterministic shared-conversion accumulator
-  std::vector<double> band_acc(bands.size(), 0.0);  // stochastic, per tile
+  std::vector<double> band_acc(bands.size(), 0.0);  // per tile
 
   auto is_flipped = [&flips](std::uint32_t row) {
     for (const auto f : flips)
@@ -92,9 +80,6 @@ inline EincResult analog_evaluate(const ProgrammedArray& array,
     const int q = -static_cast<int>(spins[j]);
     const auto view = array.column(j);
 
-    // Deterministic cross-band totals and segment-presence union.
-    std::array<std::array<std::array<double, 2>, 16>, 2> det_total{};
-    std::array<std::array<bool, 2>, 16> union_present{};
     std::uint64_t total_present = 0;
     std::uint64_t active_bands = 0;
 
@@ -151,20 +136,6 @@ inline EincResult analog_evaluate(const ProgrammedArray& array,
                                [static_cast<std::size_t>(plane)])
               continue;
             if (bank == 0) ++total_present;  // count once per segment
-            if (deterministic) {
-              // Merge the exact partial sum digitally; the shared
-              // conversion happens after the band sweep.  The cursor still
-              // advances one index per physical (band, segment) conversion.
-              det_total[bank][static_cast<std::size_t>(b)]
-                       [static_cast<std::size_t>(plane)] +=
-                  mult_sum[static_cast<std::size_t>(b)]
-                          [static_cast<std::size_t>(plane)];
-              union_present[static_cast<std::size_t>(b)]
-                           [static_cast<std::size_t>(plane)] = true;
-              ++noise.next_conversion;
-              ++trace.adc_conversions;
-              continue;
-            }
             double current = i_on * att_band *
                              mult_sum[static_cast<std::size_t>(b)]
                                      [static_cast<std::size_t>(plane)];
@@ -198,66 +169,32 @@ inline EincResult analog_evaluate(const ProgrammedArray& array,
       }
     }
 
-    if (deterministic) {
-      // Shared conversion of the merged totals at the logical-array
-      // calibration point -- once per logical segment, for every tile
-      // shape.
-      std::uint64_t union_count = 0;
-      for (const int p : {+1, -1}) {
-        const std::size_t bank = p > 0 ? 0 : 1;
-        for (int b = 0; b < bits; ++b) {
-          for (int plane = 0; plane < 2; ++plane) {
-            if (!union_present[static_cast<std::size_t>(b)]
-                              [static_cast<std::size_t>(plane)])
-              continue;
-            if (bank == 0) ++union_count;
-            const double current =
-                i_on * attenuation *
-                det_total[bank][static_cast<std::size_t>(b)]
-                         [static_cast<std::size_t>(plane)];
-            const std::uint32_t code = adc.convert_ideal(current);
-            const double plane_sign = plane == 0 ? 1.0 : -1.0;
-            accumulator += static_cast<double>(p * q) * plane_sign *
-                           static_cast<double>(1u << b) *
-                           static_cast<double>(code);
-          }
+    std::uint64_t union_count = 0;
+    for (int b = 0; b < bits; ++b)
+      for (int plane = 0; plane < 2; ++plane) {
+        // Union presence over bands, re-derived from the magnitudes.
+        bool present = false;
+        for (std::size_t k = 0; k < view.rows.size() && !present; ++k) {
+          const auto abs_mag =
+              static_cast<std::uint32_t>(std::abs(view.magnitudes[k]));
+          present = (abs_mag & (1u << b)) &&
+                    ((view.magnitudes[k] < 0 ? 1 : 0) == plane);
         }
+        if (present) ++union_count;
       }
-      trace.partial_sum_updates += 2 * (total_present - union_count);
-    } else {
-      std::uint64_t union_count = 0;
-      for (int b = 0; b < bits; ++b)
-        for (int plane = 0; plane < 2; ++plane) {
-          // Union presence over bands, re-derived from the magnitudes.
-          bool present = false;
-          for (std::size_t k = 0; k < view.rows.size() && !present; ++k) {
-            const auto abs_mag =
-                static_cast<std::uint32_t>(std::abs(view.magnitudes[k]));
-            present = (abs_mag & (1u << b)) &&
-                      ((view.magnitudes[k] < 0 ? 1 : 0) == plane);
-          }
-          if (present) ++union_count;
-        }
-      trace.partial_sum_updates += 2 * (total_present - union_count);
-    }
+    trace.partial_sum_updates += 2 * (total_present - union_count);
     trace.tile_activations += active_bands;
   }
 
-  // Fixed digital calibration; the stochastic path calibrates each tile's
-  // code sum by that tile's own attenuation.
-  if (deterministic) {
-    const double to_einc =
-        couplings.scale() * adc.lsb_current() / (i_on_max * attenuation);
-    result.e_inc = accumulator * to_einc;
-  } else {
-    double e_inc = 0.0;
-    for (std::size_t band = 0; band < bands.size(); ++band) {
-      const double to_einc_band = couplings.scale() * adc.lsb_current() /
-                                  (i_on_max * band_attenuation[band]);
-      e_inc += band_acc[band] * to_einc_band;
-    }
-    result.e_inc = e_inc;
+  // Fixed digital calibration: each tile's code sum by that tile's own
+  // attenuation.
+  double e_inc = 0.0;
+  for (std::size_t band = 0; band < bands.size(); ++band) {
+    const double to_einc_band = couplings.scale() * adc.lsb_current() /
+                                (i_on_max * band_attenuation[band]);
+    e_inc += band_acc[band] * to_einc_band;
   }
+  result.e_inc = e_inc;
   const double f_hw = i_on / i_on_max;
   result.raw_vmv = f_hw > 0.0 ? result.e_inc / f_hw : 0.0;
 

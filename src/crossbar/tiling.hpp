@@ -35,8 +35,7 @@ struct TileShape {
 };
 
 /// One horizontal band of the tile grid: the physical rows
-/// [row_begin, row_end) a tile stack owns.  Row indices inside a band's
-/// segment-class cache are stored relative to `row_begin`.
+/// [row_begin, row_end) a tile stack owns.
 struct TileBand {
   std::uint32_t row_begin = 0;
   std::uint32_t row_end = 0;

@@ -224,7 +224,7 @@ TEST(AnalogEngine, IrDropAttenuationIsCalibratedOut) {
   lossy.model_ir_drop = true;
   AnalogCrossbarEngine engine_lossless(fx.array, lossless);
   AnalogCrossbarEngine engine_lossy(fx.array, lossy);
-  EXPECT_LT(engine_lossy.ir_attenuation(), 1.0 + 1e-12);
+  EXPECT_LT(engine_lossy.tile_attenuation(), 1.0 + 1e-12);
 
   util::Rng rng(20);
   const auto spins = ising::random_spins(64, rng);

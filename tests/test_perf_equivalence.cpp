@@ -105,9 +105,8 @@ void expect_analog_equivalence(const ising::IsingModel& model, int bits,
 
     const auto optimized = engine.evaluate(spins, flips, signal);
     const auto reference = crossbar::reference::analog_evaluate(
-        *array, engine.adc(), engine.ir_attenuation(),
-                   engine.band_attenuations(), i_on_max, spins, flips,
-        signal, noise_ref);
+        *array, engine.adc(), engine.band_attenuations(), i_on_max, spins,
+        flips, signal, noise_ref);
 
     ASSERT_EQ(optimized.e_inc, reference.e_inc);
     ASSERT_EQ(optimized.raw_vmv, reference.raw_vmv);
@@ -142,11 +141,10 @@ TEST(AnalogEngineEquivalence, VariationAndNoiseAcrossBitWidths) {
   }
 }
 
-TEST(AnalogEngineEquivalence, DeterministicReadoutSharesClassConversions) {
-  // No read noise and no ADC noise: the engine converts once per segment
-  // class and fans the code out.  Cover both the fully-ideal case (maximal
-  // dedup) and deterministic Vth spread / stuck cells (distinct multipliers
-  // per bit, minimal dedup).
+TEST(AnalogEngineEquivalence, DeterministicReadoutMatchesReference) {
+  // No read noise and no ADC noise: the sweep converts every segment at
+  // sigma = 0.  Cover both ideal cells (every multiplier 1) and Vth spread
+  // with stuck cells (distinct multipliers per bit).
   for (const int bits : {2, 4, 8}) {
     const auto model = make_model(48, problems::WeightScheme::kPlusMinusOne,
                                   400 + static_cast<std::uint64_t>(bits));
@@ -158,9 +156,10 @@ TEST(AnalogEngineEquivalence, DeterministicReadoutSharesClassConversions) {
   }
 }
 
-TEST(AnalogEngineEquivalence, UnitWeightsHitAllUnitFastPath) {
+TEST(AnalogEngineEquivalence, UnitWeightsMatchReference) {
   // Unit-weight Max-Cut quantizes to full-scale magnitudes with identical
-  // bit patterns -- the segment-class dedup and all_unit counting paths.
+  // bit patterns (single weight plane), under ADC noise alone and with read
+  // noise.
   const auto model = make_model(48, problems::WeightScheme::kUnit, 300);
   expect_analog_equivalence(model, 4, {}, 13);
   device::VariationParams noise_only;
@@ -207,7 +206,7 @@ TEST(AnalogEngineEquivalence, KeyedNoiseReplaysOutOfOrder) {
   for (int k = 0; k < kCalls; ++k) {
     cursor_at[k] = forward.next_conversion;
     e_forward[k] = crossbar::reference::analog_evaluate(
-                       *array, probe.adc(), probe.ir_attenuation(), probe.band_attenuations(), i_on_max,
+                       *array, probe.adc(), probe.band_attenuations(), i_on_max,
                        spin_sets[k], flip_sets[k], signals[k], forward)
                        .e_inc;
   }
@@ -215,7 +214,7 @@ TEST(AnalogEngineEquivalence, KeyedNoiseReplaysOutOfOrder) {
     auto replay = crossbar::ReadoutNoise::for_run(77);
     replay.next_conversion = cursor_at[k];
     const double e_replay = crossbar::reference::analog_evaluate(
-                                *array, probe.adc(), probe.ir_attenuation(), probe.band_attenuations(),
+                                *array, probe.adc(), probe.band_attenuations(),
                                 i_on_max, spin_sets[k], flip_sets[k],
                                 signals[k], replay)
                                 .e_inc;
@@ -375,7 +374,7 @@ core::AnnealResult seed_insitu_analog_run(const core::InSituCimAnnealer& anneale
     const auto flips = ising::random_flip_set(
         model.num_flippable(), config.flips_per_iteration, rng);
     const auto evaluation = crossbar::reference::analog_evaluate(
-        *array, probe.adc(), probe.ir_attenuation(), probe.band_attenuations(), i_on_max, spins, flips,
+        *array, probe.adc(), probe.band_attenuations(), i_on_max, spins, flips,
         {point.factor, point.vbg}, noise);
     crossbar::merge_trace(result.ledger, evaluation.trace);
     ++result.ledger.iterations;

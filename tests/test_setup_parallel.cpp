@@ -144,18 +144,10 @@ bool same(const A& a, const B& b) {
   return std::ranges::equal(a, b);
 }
 
-/// Cells, fault count and every column-metadata accessor; the class-cache
-/// accessors too when the arrays carry the cache (programmed without read
-/// noise).
+/// Cells, fault count and every column-metadata accessor.
 void expect_identical(const ProgrammedArray& a, const ProgrammedArray& b) {
   EXPECT_TRUE(same(a.multipliers(), b.multipliers()));
   EXPECT_EQ(a.num_faulted_bit_cells(), b.num_faulted_bit_cells());
-  ASSERT_EQ(a.has_class_cache(), b.has_class_cache());
-  const bool classes = a.has_class_cache();
-  if (classes) {
-    EXPECT_TRUE(same(a.cache_rows(), b.cache_rows()));
-    EXPECT_TRUE(same(a.cache_multipliers(), b.cache_multipliers()));
-  }
   ASSERT_EQ(a.num_bands(), b.num_bands());
   const std::size_t n = a.couplings().num_spins();
   for (std::size_t j = 0; j < n; ++j) {
@@ -165,23 +157,6 @@ void expect_identical(const ProgrammedArray& a, const ProgrammedArray& b) {
               b.column_union_present_segments(j));
     EXPECT_EQ(a.column_active_bands(j), b.column_active_bands(j));
     for (std::size_t band = 0; band < a.num_bands(); ++band) {
-      if (classes) {
-        const auto sa = a.column_segments(band, j);
-        const auto sb = b.column_segments(band, j);
-        EXPECT_TRUE(
-            std::ranges::equal(sa, sb, [](const auto& x, const auto& y) {
-              return x.cls == y.cls && x.present == y.present;
-            }));
-        const auto ca = a.column_classes(band, j);
-        const auto cb = b.column_classes(band, j);
-        EXPECT_TRUE(
-            std::ranges::equal(ca, cb, [](const auto& x, const auto& y) {
-              return x.begin == y.begin && x.end == y.end &&
-                     x.all_unit == y.all_unit;
-            }));
-        EXPECT_TRUE(same(a.column_class_weights(band, j),
-                         b.column_class_weights(band, j)));
-      }
       EXPECT_EQ(a.column_present_segments(band, j),
                 b.column_present_segments(band, j));
       EXPECT_TRUE(same(a.column_slot_src(band, j), b.column_slot_src(band, j)));
@@ -236,7 +211,6 @@ void expect_cells_match_index_draws(const ArraySpec& spec,
 void expect_programming_matches_serial(const ArraySpec& spec) {
   const auto top = spec.build();
   ASSERT_GT(top->multipliers().size(), ProgrammedArray::kProgramChunkCells);
-  EXPECT_EQ(top->has_class_cache(), spec.variation.read_noise_rel == 0.0);
   std::unique_ptr<ProgrammedArray> nested;
   in_pool_task([&] { nested = spec.build(); });
   expect_identical(*top, *nested);
@@ -244,14 +218,12 @@ void expect_programming_matches_serial(const ArraySpec& spec) {
 }
 
 TEST(ProgrammingParallel, VthOnlyArrayAboveChunkGateMatchesSerial) {
-  // Zero stuck rates: the fault roll is skipped.  Read noise: no class
-  // cache.
+  // Zero stuck rates: the fault roll is skipped.
   expect_programming_matches_serial(
       {unit_model(2000), 8, {0.03, 0.02, 0.0, 0.0}, {}});
 }
 
 TEST(ProgrammingParallel, FaultyTiledArrayAboveChunkGateMatchesSerial) {
-  // No read noise: the class cache is built and compared too.
   expect_programming_matches_serial(
       {weighted_model(3000), 4, {0.03, 0.0, 0.3, 0.2}, {512, 0}});
 }

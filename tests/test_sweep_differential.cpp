@@ -2,7 +2,7 @@
 // configurations drawn across the whole contract surface -- problem size
 // N in [3, 257], tile shapes down to 1-row bands, weight schemes (single-
 // and two-plane), bit widths, variation seeds, Vth spread and stuck-fault
-// masks -- each evaluated in one of the four readout regimes (deterministic,
+// masks -- each evaluated in one of the four readout regimes (noise-free,
 // ADC-noise-only, read-noise-only, both).  For every configuration the
 // vectorized engine must match the per-cell reference kernel bit for bit
 // (e_inc, raw_vmv, the conversion ledger) with the keyed-noise conversion
@@ -21,9 +21,10 @@
 // the engine with the incremental readout (PERF.md invariant 10), the
 // stateless sweep, and the reference kernel.  All three must agree bit for
 // bit on e_inc, the ledger and the cursor after every step, for |F| in
-// [1, 4], neighbouring and unrelated flips, and random tilings.  Two gate
-// cases pin the arrays that must stay on the sweep and store nothing extra:
-// one that fails the exactness proof and one above the size rule.
+// [1, 4], neighbouring and unrelated flips, random tilings and every readout
+// regime.  Two gate cases pin the arrays that must stay on the sweep and
+// store nothing extra: one that fails the exactness proof and one above the
+// size rule.
 //
 // Labeled `differential` (and excluded from the tier-1 fast loop) in
 // CMakeLists.txt; tools/check.sh --sanitize runs it under ASan+UBSan.
@@ -89,7 +90,7 @@ DifferentialConfig make_config(std::uint64_t index) {
   if (rng.bernoulli(0.5)) cfg.variation.stuck_off_rate = rng.uniform(0.0, 0.1);
   if (rng.bernoulli(0.3)) cfg.variation.stuck_on_rate = rng.uniform(0.0, 0.05);
   // Four readout regimes, round-robin so each gets ~50 configurations:
-  // deterministic, ADC-noise-only (the track_sq=false fast path),
+  // noise-free (sigma = 0), ADC-noise-only (the track_sq=false fast path),
   // read-noise-only, and both noise sources in quadrature.
   switch (index % 4) {
     case 0:
@@ -153,9 +154,8 @@ void run_config(const DifferentialConfig& cfg, std::uint64_t index) {
 
     const auto optimized = engine.evaluate(spins, flips, signal);
     const auto reference = crossbar::reference::analog_evaluate(
-        *array, engine.adc(), engine.ir_attenuation(),
-        engine.band_attenuations(), i_on_max, spins, flips, signal,
-        noise_ref);
+        *array, engine.adc(), engine.band_attenuations(), i_on_max, spins,
+        flips, signal, noise_ref);
 
     // Bit identity, not tolerance: the sweep's regrouping must be exact.
     ASSERT_EQ(optimized.e_inc, reference.e_inc);
@@ -260,8 +260,8 @@ bool run_sequence(const Programmed& p, std::uint64_t run_seed, int steps) {
     const auto a = incremental.evaluate(spins, flips, signal);
     const auto b = sweep.evaluate(spins, flips, signal);
     const auto r = crossbar::reference::analog_evaluate(
-        *array, sweep.adc(), sweep.ir_attenuation(), sweep.band_attenuations(),
-        i_on_max, spins, flips, signal, noise_ref);
+        *array, sweep.adc(), sweep.band_attenuations(), i_on_max, spins,
+        flips, signal, noise_ref);
     for (const auto* other : {&b, &r}) {
       EXPECT_EQ(a.e_inc, other->e_inc);
       EXPECT_EQ(a.raw_vmv, other->raw_vmv);
@@ -285,12 +285,15 @@ bool run_sequence(const Programmed& p, std::uint64_t run_seed, int steps) {
 }
 
 TEST(SweepDifferential, IncrementalMatchesSweepAndReferenceAlongSequences) {
-  constexpr std::uint64_t kSequenceConfigs = 120;
+  // 120 configurations from the three noisy regimes, then 40 noise-free ones
+  // (sigma = 0), all with V_TH spreads the exactness proof can cover.
+  constexpr std::uint64_t kNoisyConfigs = 120;
+  constexpr std::uint64_t kSequenceConfigs = kNoisyConfigs + 40;
   std::size_t incremental_configs = 0;
   for (std::uint64_t index = 0; index < kSequenceConfigs; ++index) {
-    // Stochastic regimes only (the deterministic readout never keeps
-    // state), and V_TH spreads the exactness proof can cover.
-    auto cfg = make_config(4 * index + 1 + index % 3);
+    auto cfg = index < kNoisyConfigs
+                   ? make_config(4 * index + 1 + index % 3)
+                   : make_config(4 * (index - kNoisyConfigs));
     cfg.variation.vth_sigma = std::min(cfg.variation.vth_sigma, 0.04);
     SCOPED_TRACE(::testing::Message()
                  << "sequence config " << index << " n=" << cfg.n

@@ -1,16 +1,13 @@
 // Tile-partitioned crossbar execution: the equivalence suite pinning the
 // TilePlan contract end to end.
 //
-//  * Deterministic readout is partition-invariant: for every tile shape the
-//    engine's e_inc / raw_vmv are bit-identical to the monolithic engine
-//    (integer regrouping -- the per-tile partial sums are exact, so the
-//    digital merge reconstructs the logical conversion), while the
-//    trace/ledger reports the genuinely larger physical conversion count
-//    and the milder per-tile IR attenuation.
-//  * Stochastic readout is a pure function of (run seed, tile shape): one
-//    keyed draw + one quantization per (tile, present column) in the
-//    canonical cursor order, bit-identical to the tile-aware reference
-//    kernel and reproducible across engine instances.
+//  * Readout is a pure function of (run seed, tile shape): one keyed draw +
+//    one quantization per (tile, present column) in the canonical cursor
+//    order, bit-identical to the tile-aware reference kernel and
+//    reproducible across engine instances.  Noise-free configurations
+//    convert per tile the same way, with sigma = 0.
+//  * The trace/ledger reports the genuinely larger physical conversion
+//    count of a >1-band grid and the milder per-tile IR attenuation.
 #include <gtest/gtest.h>
 
 #include "core/insitu_annealer.hpp"
@@ -71,10 +68,6 @@ TEST(TiledArray, BandCellRangesPartitionEveryColumn) {
         EXPECT_GE(view.rows[k], bands[b].row_begin);
         EXPECT_LT(view.rows[k], bands[b].row_end);
       }
-      // Band-local segment classes index band-relative rows.
-      for (const auto& cls : array->column_classes(b, j))
-        for (std::uint32_t k = cls.begin; k < cls.end; ++k)
-          EXPECT_LT(array->cache_rows()[k], bands[b].rows());
       const auto present = array->column_present_segments(b, j);
       total += present;
       if (present > 0) ++active;
@@ -97,76 +90,8 @@ TEST(TiledArray, MonolithicShapeKeepsOneBand) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic readout: bit-identical across every tile shape.
-// ---------------------------------------------------------------------------
-
-void expect_deterministic_partition_invariance(
-    const ising::IsingModel& model, const device::VariationParams& variation,
-    std::uint64_t seed) {
-  core::InSituConfig config;
-  config.analog.adc.noise_lsb_rms = 0.0;  // deterministic readout
-
-  const std::vector<crossbar::TileShape> shapes = {
-      {},                                    // monolithic
-      {model.num_spins() / 2, 0},            // two bands
-      {17, 256},                             // many uneven bands
-      {1, 0},                                // degenerate one-row tiles
-  };
-
-  std::vector<crossbar::AnalogCrossbarEngine> engines;
-  engines.reserve(shapes.size());
-  for (const auto& shape : shapes)
-    engines.emplace_back(make_array(model, 8, variation, seed, shape),
-                         config.analog);
-  for (auto& engine : engines) engine.begin_run(seed + 1);
-
-  util::Rng selector(seed ^ 0x71135);
-  const double vbg_max = device::DgFefetParams{}.vbg_max;
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t t = 1 + selector.uniform_index(4);
-    const auto flips = ising::random_flip_set(model.num_spins(), t, selector);
-    const auto spins = ising::random_spins(model.num_spins(), selector);
-    const crossbar::AnnealSignal signal{
-        selector.uniform01(), selector.uniform(0.3, vbg_max)};
-
-    const auto monolithic = engines[0].evaluate(spins, flips, signal);
-    for (std::size_t s = 1; s < engines.size(); ++s) {
-      const auto tiled = engines[s].evaluate(spins, flips, signal);
-      ASSERT_EQ(tiled.e_inc, monolithic.e_inc) << "shape " << s;
-      ASSERT_EQ(tiled.raw_vmv, monolithic.raw_vmv) << "shape " << s;
-      // The physical walk differs: a >1-band grid converts at least as
-      // often and never merges fewer partial sums.
-      ASSERT_GE(tiled.trace.adc_conversions, monolithic.trace.adc_conversions);
-      ASSERT_GE(tiled.trace.tile_activations,
-                monolithic.trace.tile_activations);
-    }
-  }
-}
-
-TEST(TiledEngine, DeterministicIdealCellsPartitionInvariant) {
-  const auto model = make_model(48, problems::WeightScheme::kUnit, 100);
-  expect_deterministic_partition_invariance(model, {}, 11);
-}
-
-TEST(TiledEngine, DeterministicWeightedGraphPartitionInvariant) {
-  const auto model =
-      make_model(48, problems::WeightScheme::kPlusMinusOne, 101);
-  expect_deterministic_partition_invariance(model, {}, 13);
-}
-
-TEST(TiledEngine, DeterministicStuckFaultsPartitionInvariant) {
-  // Stuck-at faults keep every multiplier in {0, 1}: partial sums stay
-  // integers, so the regrouping argument holds with faulted cells too.
-  const auto model = make_model(48, problems::WeightScheme::kUnit, 102);
-  device::VariationParams faults;
-  faults.stuck_off_rate = 0.05;
-  faults.stuck_on_rate = 0.02;
-  expect_deterministic_partition_invariance(model, faults, 17);
-}
-
-// ---------------------------------------------------------------------------
-// Stochastic readout: engine == tile-aware reference, bit for bit, for any
-// tile shape; cursors in lockstep.
+// Readout: engine == tile-aware reference, bit for bit, for any tile shape
+// and readout regime; cursors in lockstep.
 // ---------------------------------------------------------------------------
 
 void expect_tiled_reference_equivalence(const ising::IsingModel& model,
@@ -194,8 +119,8 @@ void expect_tiled_reference_equivalence(const ising::IsingModel& model,
 
     const auto optimized = engine.evaluate(spins, flips, signal);
     const auto reference = crossbar::reference::analog_evaluate(
-        *array, engine.adc(), engine.ir_attenuation(),
-        engine.band_attenuations(), i_on_max, spins, flips, signal, noise_ref);
+        *array, engine.adc(), engine.band_attenuations(), i_on_max, spins,
+        flips, signal, noise_ref);
 
     ASSERT_EQ(optimized.e_inc, reference.e_inc);
     ASSERT_EQ(optimized.raw_vmv, reference.raw_vmv);
@@ -236,9 +161,8 @@ TEST(TiledEngine, AdcNoiseOnlyMatchesReferenceAcrossShapes) {
 }
 
 TEST(TiledEngine, DeterministicTiledMatchesReference) {
-  // The reference kernel encodes the shared-conversion contract too: the
-  // deterministic tiled walk must agree with it bit for bit (and with the
-  // monolithic result, by the partition-invariance tests above).
+  // No read noise and no ADC noise: every tile still converts its own
+  // partial sums, at sigma = 0, bit for bit with the reference.
   const auto model = make_model(48, problems::WeightScheme::kUnit, 202);
   for (const auto& shape :
        std::vector<crossbar::TileShape>{{}, {16, 0}, {9, 0}}) {
@@ -295,13 +219,13 @@ core::ProblemInstance tiled_instance(std::size_t n, std::uint64_t seed) {
       16, seed);
 }
 
-TEST(TiledAnnealer, DeterministicRunsMatchMonolithicAndReportTileEvents) {
+TEST(TiledAnnealer, DeterministicRunsReportTileEvents) {
   const auto instance = tiled_instance(96, 501);
   core::InSituConfig base;
   base.iterations = 300;
   base.flips_per_iteration = 2;
   base.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  base.analog.adc.noise_lsb_rms = 0.0;  // deterministic readout
+  base.analog.adc.noise_lsb_rms = 0.0;  // noise-free readout
 
   auto tiled = base;
   tiled.tiles = crossbar::TileShape{24, 512};
@@ -312,14 +236,8 @@ TEST(TiledAnnealer, DeterministicRunsMatchMonolithicAndReportTileEvents) {
 
   const auto mono = monolithic.run(7);
   const auto part = partitioned.run(7);
-  // Same physics, same proposals, partition-invariant deterministic
-  // readout: the annealing trajectory is bit-identical.
-  EXPECT_EQ(part.best_energy, mono.best_energy);
-  EXPECT_EQ(part.final_energy, mono.final_energy);
-  EXPECT_EQ(part.best_spins, mono.best_spins);
-  EXPECT_EQ(part.accepted_moves, mono.accepted_moves);
-  // ...while the hardware events are honestly tiled: more conversions,
-  // per-tile partial-sum merges, and >1 tile activations per evaluation.
+  // The hardware events are honestly tiled: more conversions, per-tile
+  // partial-sum merges, and >1 tile activations per evaluation.
   EXPECT_GT(part.ledger.adc_conversions, mono.ledger.adc_conversions);
   EXPECT_GT(part.ledger.partial_sum_updates, 0u);
   EXPECT_EQ(mono.ledger.partial_sum_updates, 0u);
@@ -345,8 +263,6 @@ TEST(TiledAnnealer, TileAttenuationIsMilderThanMonolithic) {
   EXPECT_GT(tiled_engine.tile_attenuation(), mono_engine.tile_attenuation());
   EXPECT_LE(tiled_engine.tile_attenuation(), 1.0);
   EXPECT_EQ(tiled_engine.band_attenuations().size(), 4u);
-  // The logical calibration point is the same array either way.
-  EXPECT_EQ(tiled_engine.ir_attenuation(), mono_engine.ir_attenuation());
 
   // The per-evaluation trace carries the per-tile factor.
   auto engine = crossbar::AnalogCrossbarEngine(tiled_annealer.array(),
