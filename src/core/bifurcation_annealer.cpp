@@ -78,15 +78,21 @@ AnnealResult BifurcationAnnealer::run(std::uint64_t seed,
   const std::size_t flippable = model_->num_flippable();
   const bool ballistic = config_.variant == SbVariant::kBallistic;
 
+  // The engine tracks the drive vector below, not the solution register:
+  // every step reports the drive's sign changes through on_flips_applied().
   std::unique_ptr<crossbar::EincEngine> engine;
   if (config_.engine == SbConfig::EngineKind::kAnalog) {
-    engine = std::make_unique<crossbar::AnalogCrossbarEngine>(array_,
-                                                              config_.analog);
+    auto analog_engine = std::make_unique<crossbar::AnalogCrossbarEngine>(
+        array_, config_.analog);
+    // Few drive entries change per step, so the engine may keep
+    // incremental bank sums over the drive (arrays that cannot prove them
+    // exact keep the sweep).
+    analog_engine->enable_incremental_readout();
+    engine = std::move(analog_engine);
   } else {
-    // No local-field cache: the drive vector below is NOT the tracked spin
-    // configuration (it is re-binarized from the oscillator positions every
-    // step), so the cache-coherence protocol cannot apply.  The stateless
-    // CSR row walk serves each single-flip readout directly.
+    // No local-field cache: its sums, reassociated by every reported
+    // change, would move ideal-engine SB's fields off the stateless CSR row
+    // walk that serves each single-flip readout.
     engine = std::make_unique<crossbar::IdealCrossbarEngine>(
         *model_, mapping_, crossbar::Accounting::kInSitu, config_.tiles);
   }
@@ -126,32 +132,36 @@ AnnealResult BifurcationAnnealer::run(std::uint64_t seed,
   const crossbar::AnnealSignal signal{1.0, config_.device.vbg_max};
 
   ising::SpinVector drive(n, ising::Spin{1});
-  ising::FlipSet probe(1, 0), flips;
+  ising::FlipSet changes, flips;
+  changes.reserve(flippable);
   flips.reserve(flippable);
 
   for (std::size_t step = 0; step < config_.steps; ++step) {
     driver.poll(step);
     const auto point = schedule_.at(step);
 
-    // Binarize the oscillator positions into the crossbar drive vector.
+    // Binarize the oscillator positions into the crossbar drive vector and
+    // report the entries that changed sign.
+    changes.clear();
     for (std::size_t j = 0; j < flippable; ++j) {
       const bool up =
           ballistic
               ? 2.0 * dither.uniform01(step * flippable + j) - 1.0 < x[j]
               : x[j] >= 0.0;
-      drive[j] = up ? ising::Spin{1} : ising::Spin{-1};
+      const ising::Spin b = up ? ising::Spin{1} : ising::Spin{-1};
+      if (b == drive[j]) continue;
+      drive[j] = b;
+      changes.push_back(static_cast<std::uint32_t>(j));
     }
+    engine->on_flips_applied(drive, changes);
 
     // Extract every local field h_i = (J b)_i as a single-flip readout:
     // flipping column i of drive b gives raw_vmv = -b_i (J b)_i, so one
-    // sweep of n readouts senses the whole field vector on the same
+    // batched read of n readouts senses the whole field vector on the same
     // conversion path (and noise streams) the in-situ annealer uses.
-    for (std::size_t i = 0; i < flippable; ++i) {
-      probe[0] = static_cast<std::uint32_t>(i);
-      const auto evaluation = engine->evaluate(drive, probe, signal);
-      crossbar::merge_trace(driver.result.ledger, evaluation.trace);
-      field[i] = -static_cast<double>(drive[i]) * evaluation.raw_vmv;
-    }
+    engine->evaluate_columns(drive, signal, field, driver.result.ledger);
+    for (std::size_t i = 0; i < flippable; ++i)
+      field[i] = -static_cast<double>(drive[i]) * field[i];
 
     // Symplectic Euler with the fields frozen for the whole step (they were
     // all sensed from the same drive, so per-i interleaving is equivalent to

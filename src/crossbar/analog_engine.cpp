@@ -10,6 +10,11 @@ namespace fecim::crossbar {
 
 namespace {
 
+/// Draws one keyed fill of evaluate_columns() covers at most, unless a
+/// single column needs more: bounds its draw buffer independently of n.
+/// 256 and 4,096 timed the same on simulated bifurcation.
+constexpr std::size_t kColumnDrawBlock = 1024;
+
 circuit::SarAdcParams resolve_adc_params(const AnalogEngineConfig& config,
                                          const ProgrammedArray& array) {
   circuit::SarAdcParams params = config.adc;
@@ -236,10 +241,32 @@ void AnalogCrossbarEngine::build_incremental_state(
   state_live_ = true;
 }
 
+void AnalogCrossbarEngine::mark_flips(const ising::FlipSet& flips,
+                                      bool distinct) {
+  auto& mask = workspace_.flip_mask;
+  // Validate before marking so a contract throw cannot leave stale bits in
+  // the reusable mask (contract_error is catchable; a dirty mask would
+  // silently corrupt every later evaluation).
+  for (const auto f : flips) FECIM_EXPECTS(f < mask.size());
+  std::size_t marked = 0;
+  for (const auto f : flips) {
+    marked += mask[f] == 0 ? 1 : 0;
+    mask[f] = 1;
+  }
+  if (distinct && marked != flips.size()) {
+    for (const auto f : flips) mask[f] = 0;
+    FECIM_EXPECTS(marked == flips.size());
+  }
+}
+
 void AnalogCrossbarEngine::on_flips_applied(
     std::span<const ising::Spin> spins_after, const ising::FlipSet& flips) {
   if (!state_live_) return;
   FECIM_EXPECTS(spins_after.size() == num_spins());
+  // Each row moves to its new bank once: check the whole set before the
+  // first move, so a rejected report leaves the state untouched.
+  mark_flips(flips, true);
+  for (const auto f : flips) workspace_.flip_mask[f] = 0;
   const auto& couplings = array_->couplings();
   const auto bits = static_cast<std::uint32_t>(couplings.bits());
   const auto magnitudes = couplings.magnitudes();
@@ -249,7 +276,6 @@ void AnalogCrossbarEngine::on_flips_applied(
   const double inv_grid = 1.0 / grid;
   const auto bands = array_->bands();
   for (const auto f : flips) {
-    FECIM_EXPECTS(f < num_spins());
     // Row f's cells sit in its band, one in each column j that column f
     // couples to (symmetric pattern); the mirror offsets locate them.
     std::size_t band = 0;
@@ -275,22 +301,116 @@ void AnalogCrossbarEngine::on_flips_applied(
   }
 }
 
+AnalogCrossbarEngine::UnitInvariants AnalogCrossbarEngine::unit_invariants(
+    const AnnealSignal& signal) {
+  if (signal.vbg != cached_vbg_) {
+    cached_i_on_ = array_->on_current(signal.vbg);
+    cached_vbg_ = signal.vbg;
+  }
+  UnitInvariants inv;
+  inv.i_on = cached_i_on_;
+  inv.read_noise_rel = array_->variation_params().read_noise_rel;
+  inv.track_sq = inv.read_noise_rel > 0.0;
+  inv.sigma_adc = adc_.noise_sigma_current();
+  inv.adc_variance = inv.sigma_adc * inv.sigma_adc;
+  inv.bits = static_cast<std::size_t>(array_->couplings().bits());
+  inv.square_grid = array_->square_grid();
+  inv.inv_square_grid = 1.0 / inv.square_grid;
+  return inv;
+}
+
+FECIM_ALWAYS_INLINE inline double AnalogCrossbarEngine::read_unit(
+    const UnitInvariants& inv, const ising::Spin* spins,
+    std::span<const std::uint32_t> flips, std::size_t fi, std::size_t band,
+    const ProgrammedArray::ColumnView& view,
+    std::span<const std::uint8_t> src, const double* z) {
+  const std::uint32_t j = flips[fi];
+  const std::size_t bits = inv.bits;
+  const std::size_t present = src.size();
+  const auto range = array_->column_band_cells(band, j);
+  const float* const mults = array_->multipliers().data();
+  BandScratch& sc = scratch_;
+  if (state_live_) {
+    // Incremental lanes: the +1 pass reads the run's +1-bank sums, the -1
+    // pass the slot totals minus them, and each other flipped row with a
+    // cell in the unit then leaves its bank.  Every value is an exact
+    // subset sum of the segment's cells (the array proved it at program
+    // time), so the lanes equal the sweep's bit for bit.
+    const double* FECIM_RESTRICT plus =
+        state_.data() + state_stride_ * array_->column_slot_begin(band, j);
+    const double* FECIM_RESTRICT total = plus + present;
+    for (std::size_t i = 0; i < present; ++i) {
+      sc.lane_sum[i] = plus[i];
+      sc.lane_sum[present + i] = total[i] - plus[i];
+    }
+    if (inv.track_sq) {
+      const double* FECIM_RESTRICT plus_sq = plus + 2 * present;
+      const double* FECIM_RESTRICT total_sq = plus + 3 * present;
+      for (std::size_t i = 0; i < present; ++i) {
+        sc.lane_sq[i] = plus_sq[i];
+        sc.lane_sq[present + i] = total_sq[i] - plus_sq[i];
+      }
+    }
+    const auto& rows = array_->bands()[band];
+    for (std::size_t other = 0; other < flips.size(); ++other) {
+      const auto f = flips[other];
+      if (other == fi || f < rows.row_begin || f >= rows.row_end) continue;
+      const std::uint32_t k = find_cell(view.rows, range.begin, range.end, f);
+      if (k == range.end) continue;
+      const std::size_t lane0 = spins[f] > 0 ? 0 : present;
+      move_cell<false>(
+          sc.lane_sum + lane0, inv.track_sq ? sc.lane_sq + lane0 : nullptr,
+          src, mults + (view.first_entry + k) * bits,
+          view.magnitudes[k] < 0 ? static_cast<std::uint32_t>(bits) : 0,
+          static_cast<std::uint32_t>(bits), inv.square_grid,
+          inv.inv_square_grid);
+    }
+  } else {
+    // Sweep lanes: the unit's cells accumulated per bank, then a gather of
+    // the present slots into [pass][slot] lanes (squared sums leave grid
+    // units here, exactly).  Cells of flipped rows and of the other spin
+    // bank only ever contributed exact +0.0 terms to the historical
+    // select-and-multiply form, so skipping them outright leaves every
+    // (nonnegative) accumulator bit-identical to the filtered per-segment
+    // walk of the reference kernel.
+    accumulate_banks(view, range, spins, workspace_.flip_mask.data(), mults,
+                     bits, inv.track_sq, inv.inv_square_grid, sc.nsum,
+                     sc.nsq);
+    const std::size_t slots = 2 * bits;
+    for (std::size_t i = 0; i < present; ++i) {
+      sc.lane_sum[i] = sc.nsum[src[i]];
+      sc.lane_sum[present + i] = sc.nsum[slots + src[i]];
+    }
+    if (inv.track_sq)
+      for (std::size_t i = 0; i < present; ++i) {
+        sc.lane_sq[i] = sc.nsq[src[i]] * inv.square_grid;
+        sc.lane_sq[present + i] = sc.nsq[slots + src[i]] * inv.square_grid;
+      }
+  }
+  // Association mirrors the per-cell form: (i_on * att) * sum and
+  // ((rel * i_on) * att) * sqrt(sq_sum), keeping results bit-identical.
+  const double att = band_attenuation_[band];
+  const double current_scale = inv.i_on * att;
+  const double noise_scale = (inv.read_noise_rel * inv.i_on) * att;
+  const double noise_var_scale = noise_scale * noise_scale;
+  const double* wgt = array_->column_slot_weights(band, j).data();
+  return inv.track_sq
+             ? convert_unit<true>(sc.lane_sum, sc.lane_sq, z, wgt, present,
+                                  current_scale, noise_var_scale,
+                                  inv.adc_variance, inv.sigma_adc, adc_)
+             : convert_unit<false>(sc.lane_sum, sc.lane_sq, z, wgt, present,
+                                   current_scale, noise_var_scale,
+                                   inv.adc_variance, inv.sigma_adc, adc_);
+}
+
 EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
                                           const ising::FlipSet& flips,
                                           const AnnealSignal& signal) {
   FECIM_EXPECTS(!flips.empty());
   const auto& mapping = array_->mapping();
-  const auto& couplings = array_->couplings();
   FECIM_EXPECTS(spins.size() == mapping.num_spins());
 
-  const int bits = couplings.bits();
-  if (signal.vbg != cached_vbg_) {
-    cached_i_on_ = array_->on_current(signal.vbg);
-    cached_vbg_ = signal.vbg;
-  }
-  const double i_on = cached_i_on_;
-  const double read_noise_rel = array_->variation_params().read_noise_rel;
-
+  const UnitInvariants inv = unit_invariants(signal);
   const auto bands = array_->bands();
   const std::size_t num_bands = bands.size();
 
@@ -301,24 +421,10 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
 
   auto& ws = workspace_;
   for (auto& acc : ws.band_acc) acc = 0.0;
-  // Validate before marking so a contract throw cannot leave stale bits in
-  // the reusable mask (contract_error is catchable; a dirty mask would
-  // silently corrupt every later evaluation).
-  for (const auto f : flips) FECIM_EXPECTS(f < ws.flip_mask.size());
   if (incremental_ && !state_live_) build_incremental_state(spins);
-  std::size_t distinct = 0;
-  for (const auto f : flips) {
-    distinct += ws.flip_mask[f] == 0 ? 1 : 0;
-    ws.flip_mask[f] = 1;
-  }
-  if (incremental_ && distinct != flips.size()) {
-    // The incremental readout moves each flipped row out of its bank once.
-    for (const auto f : flips) ws.flip_mask[f] = 0;
-    FECIM_EXPECTS(distinct == flips.size());
-  }
+  // The incremental readout moves each flipped row out of its bank once.
+  mark_flips(flips, incremental_);
 
-  const std::size_t slots = static_cast<std::size_t>(bits) * 2;
-  const auto all_mults = array_->multipliers();
   // Readout over independent (flip, band) units.
   //
   // Serial prelude: ledger accounting, the canonical conversion-index
@@ -361,130 +467,18 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
                                 {ws.z.data(), total_conversions});
   noise_.next_conversion += total_conversions;
 
-  const bool track_sq = read_noise_rel > 0.0;
-  const double sigma_adc = adc_.noise_sigma_current();
-  const double adc_variance = sigma_adc * sigma_adc;
-  const double square_grid = array_->square_grid();
-  const double inv_square_grid = 1.0 / square_grid;
-
-  // Hot state as raw pointers/locals: the units below read them through
-  // the lambda captures on every unit, and loading them out of the
-  // workspace vectors once keeps the per-unit code free of repeated
-  // data-pointer indirections (they are loop-invariant; the compiler
-  // cannot hoist them itself past the scratch stores).
-  const double* const z_data = ws.z.data();
-  const std::uint32_t* const conv_base = ws.conv_base.data();
-  double* const band_acc = ws.band_acc.data();
-  const std::uint8_t* const flip_mask = ws.flip_mask.data();
-  const ProgrammedArray::ColumnView* const flip_view = ws.flip_view.data();
-  const int* const flip_q = ws.flip_q.data();
-  BandScratch& sc = scratch_;
-  const double* const batt = band_attenuation_.data();
-  const ising::Spin* const spin_data = spins.data();
-
-  // Sweep lanes of one (flip, band) unit: the unit's cells accumulated
-  // per bank, then a gather of the present slots into [pass][slot] lanes
-  // (squared sums leave grid units here, exactly).  Cells of flipped rows
-  // and of the other spin bank only ever contributed exact +0.0 terms to
-  // the historical select-and-multiply form, so skipping them outright
-  // leaves every (nonnegative) accumulator bit-identical to the filtered
-  // per-segment walk of the reference kernel.
-  const auto sweep_lanes = [&](std::size_t band, std::size_t fi,
-                               std::span<const std::uint8_t> src)
-                               FECIM_ALWAYS_INLINE {
-    accumulate_banks(flip_view[fi], array_->column_band_cells(band, flips[fi]),
-                     spin_data, flip_mask, all_mults.data(),
-                     static_cast<std::size_t>(bits), track_sq,
-                     inv_square_grid, sc.nsum, sc.nsq);
-    const std::size_t present = src.size();
-    for (std::size_t i = 0; i < present; ++i) {
-      sc.lane_sum[i] = sc.nsum[src[i]];
-      sc.lane_sum[present + i] = sc.nsum[slots + src[i]];
-    }
-    if (track_sq)
-      for (std::size_t i = 0; i < present; ++i) {
-        sc.lane_sq[i] = sc.nsq[src[i]] * square_grid;
-        sc.lane_sq[present + i] = sc.nsq[slots + src[i]] * square_grid;
-      }
-  };
-
-  // Incremental lanes of one (flip, band) unit: the +1 pass reads the
-  // run's +1-bank sums, the -1 pass the slot totals minus them, and each
-  // other flipped row with a cell in the unit then leaves its bank.
-  // Every value is an exact subset sum of the segment's cells (the array
-  // proved it at program time), so the lanes equal the sweep's bit for
-  // bit.
-  const auto incremental_lanes = [&](std::size_t band, std::size_t fi,
-                                     std::span<const std::uint8_t> src)
-                                     FECIM_ALWAYS_INLINE {
-    const std::size_t present = src.size();
-    const double* FECIM_RESTRICT plus =
-        state_.data() +
-        state_stride_ * array_->column_slot_begin(band, flips[fi]);
-    const double* FECIM_RESTRICT total = plus + present;
-    for (std::size_t i = 0; i < present; ++i) {
-      sc.lane_sum[i] = plus[i];
-      sc.lane_sum[present + i] = total[i] - plus[i];
-    }
-    if (track_sq) {
-      const double* FECIM_RESTRICT plus_sq = plus + 2 * present;
-      const double* FECIM_RESTRICT total_sq = plus + 3 * present;
-      for (std::size_t i = 0; i < present; ++i) {
-        sc.lane_sq[i] = plus_sq[i];
-        sc.lane_sq[present + i] = total_sq[i] - plus_sq[i];
-      }
-    }
-    const auto& view = flip_view[fi];
-    const auto range = array_->column_band_cells(band, flips[fi]);
-    for (std::size_t other = 0; other < flip_count; ++other) {
-      const auto f = flips[other];
-      if (other == fi || f < bands[band].row_begin ||
-          f >= bands[band].row_end)
-        continue;
-      const std::uint32_t k = find_cell(view.rows, range.begin, range.end, f);
-      if (k == range.end) continue;
-      const std::size_t lane0 = spin_data[f] > 0 ? 0 : present;
-      move_cell<false>(
-          sc.lane_sum + lane0, track_sq ? sc.lane_sq + lane0 : nullptr, src,
-          all_mults.data() +
-              (view.first_entry + k) * static_cast<std::size_t>(bits),
-          view.magnitudes[k] < 0 ? static_cast<std::uint32_t>(bits) : 0,
-          static_cast<std::uint32_t>(bits), square_grid, inv_square_grid);
-    }
-  };
-
   // Band-major walk over the units.  Every weighted-code term, unit sum
   // and band_acc partial is an exact integer well under 2^53, so any
   // association here matches the historical int64 shift-and-add
   // bit-for-bit.
   for (std::size_t band = 0; band < num_bands; ++band) {
-    // Association mirrors the per-cell form: (i_on * att) * sum and
-    // ((rel * i_on) * att) * sqrt(sq_sum), keeping results bit-identical.
-    const double att_b = batt[band];
-    const double current_scale_b = i_on * att_b;
-    const double noise_scale_b = (read_noise_rel * i_on) * att_b;
-    const double noise_var_scale = noise_scale_b * noise_scale_b;
     for (std::size_t fi = 0; fi < flip_count; ++fi) {
-      const auto j = flips[fi];
-      const auto src = array_->column_slot_src(band, j);
+      const auto src = array_->column_slot_src(band, flips[fi]);
       if (src.empty()) continue;  // tile stores nothing: no conversion
-      if (state_live_)
-        incremental_lanes(band, fi, src);
-      else
-        sweep_lanes(band, fi, src);
-      const double* z = z_data + conv_base[fi * num_bands + band];
-      const double* wgt = array_->column_slot_weights(band, j).data();
-      const double unit =
-          track_sq
-              ? convert_unit<true>(sc.lane_sum, sc.lane_sq, z, wgt,
-                                   src.size(), current_scale_b,
-                                   noise_var_scale, adc_variance, sigma_adc,
-                                   adc_)
-              : convert_unit<false>(sc.lane_sum, sc.lane_sq, z, wgt,
-                                    src.size(), current_scale_b,
-                                    noise_var_scale, adc_variance, sigma_adc,
-                                    adc_);
-      band_acc[band] += static_cast<double>(flip_q[fi]) * unit;
+      ws.band_acc[band] +=
+          static_cast<double>(ws.flip_q[fi]) *
+          read_unit(inv, spins.data(), flips, fi, band, ws.flip_view[fi], src,
+                    ws.z.data() + ws.conv_base[fi * num_bands + band]);
     }
   }
 
@@ -499,17 +493,96 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   for (std::size_t band = 0; band < num_bands; ++band)
     e_inc += ws.band_acc[band] * band_to_einc_[band];
   result.e_inc = e_inc;
-  const double f_hw = i_on / i_on_max_;
+  const double f_hw = inv.i_on / i_on_max_;
   result.raw_vmv = f_hw > 0.0 ? result.e_inc / f_hw : 0.0;
 
   const auto n = static_cast<std::uint64_t>(mapping.num_spins());
   const auto t = static_cast<std::uint64_t>(flips.size());
   trace.mux_slot_cycles = 2 * mapping.slots_for_flips(flips);
   trace.row_drives = 2 * (n - t);
-  trace.column_drives =
-      2 * t * static_cast<std::uint64_t>(bits) *
-      static_cast<std::uint64_t>(mapping.planes());
+  trace.column_drives = 2 * t * static_cast<std::uint64_t>(inv.bits) *
+                        static_cast<std::uint64_t>(mapping.planes());
   return result;
+}
+
+void AnalogCrossbarEngine::evaluate_columns(std::span<const ising::Spin> spins,
+                                            const AnnealSignal& signal,
+                                            std::span<double> raw_vmv,
+                                            CostLedger& ledger) {
+  const auto& mapping = array_->mapping();
+  FECIM_EXPECTS(spins.size() == mapping.num_spins());
+  FECIM_EXPECTS(raw_vmv.size() <= mapping.num_spins());
+  if (incremental_ && !state_live_) build_incremental_state(spins);
+  const UnitInvariants inv = unit_invariants(signal);
+  const std::size_t num_bands = array_->num_bands();
+  const double f_hw = inv.i_on / i_on_max_;
+  auto& ws = workspace_;
+
+  // The per-column events of evaluate(spins, {j}, signal), summed here and
+  // merged once.
+  const auto columns = static_cast<std::uint64_t>(raw_vmv.size());
+  const auto n = static_cast<std::uint64_t>(mapping.num_spins());
+  EngineTrace trace;
+  trace.crossbar_passes = 4 * columns;
+  trace.row_drives = 2 * (n - 1) * columns;
+  trace.column_drives = 2 * static_cast<std::uint64_t>(inv.bits) *
+                        static_cast<std::uint64_t>(mapping.planes()) * columns;
+
+  std::size_t j = 0;
+  while (j < raw_vmv.size()) {
+    // One keyed fill per block of whole columns, in cursor order (column,
+    // then band, then [pass][slot]).  Draws are pure functions of their
+    // absolute index, so the blocking is value-free (PERF.md invariant 7).
+    std::size_t end = j;
+    std::size_t draws = 0;
+    do {
+      draws += 2 * static_cast<std::size_t>(
+                       array_->column_total_present_segments(end));
+      ++end;
+    } while (end < raw_vmv.size() &&
+             draws + 2 * static_cast<std::size_t>(
+                             array_->column_total_present_segments(end)) <=
+                 kColumnDrawBlock);
+    if (ws.z.size() < draws) ws.z.resize(draws);
+    noise_.conversion.normal_fill(noise_.next_conversion,
+                                  {ws.z.data(), draws});
+    noise_.next_conversion += draws;
+
+    const double* z = ws.z.data();
+    for (; j < end; ++j) {
+      const auto column = static_cast<std::uint32_t>(j);
+      const std::span<const std::uint32_t> flip(&column, 1);
+      const std::uint32_t total_present =
+          array_->column_total_present_segments(j);
+      trace.tile_activations += array_->column_active_bands(j);
+      trace.partial_sum_updates += 2 * static_cast<std::size_t>(
+          total_present - array_->column_union_present_segments(j));
+      trace.adc_conversions += 2 * static_cast<std::size_t>(total_present);
+      trace.mux_slot_cycles += 2 * mapping.slots_for_flips(flip);
+
+      // The sweep skips the flipped row (a diagonal cell); the bank sums
+      // subtract nothing, since a single flipped row has no other cell in
+      // the unit.
+      const auto view = array_->column(j);
+      const auto q = static_cast<double>(-static_cast<int>(spins[j]));
+      ws.flip_mask[j] = 1;
+      for (auto& acc : ws.band_acc) acc = 0.0;
+      for (std::size_t band = 0; band < num_bands; ++band) {
+        const auto src = array_->column_slot_src(band, j);
+        if (src.empty()) continue;
+        ws.band_acc[band] +=
+            q * read_unit(inv, spins.data(), flip, 0, band, view, src, z);
+        z += 2 * src.size();
+      }
+      ws.flip_mask[j] = 0;
+
+      double e_inc = 0.0;
+      for (std::size_t band = 0; band < num_bands; ++band)
+        e_inc += ws.band_acc[band] * band_to_einc_[band];
+      raw_vmv[j] = f_hw > 0.0 ? e_inc / f_hw : 0.0;
+    }
+  }
+  merge_trace(ledger, trace);
 }
 
 }  // namespace fecim::crossbar

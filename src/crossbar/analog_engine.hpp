@@ -38,7 +38,10 @@
 //    support it (ProgrammedArray::supports_incremental_readout()), so both
 //    sources produce the same bits (PERF.md invariant 10).
 // Neither decodes magnitudes per call, and both track flip membership
-// through a reusable per-engine workspace bitmask.
+// through a reusable per-engine workspace bitmask.  evaluate_columns()
+// (simulated bifurcation's full-field read) runs the same units column by
+// column, one keyed fill per block of columns and one ledger merge per
+// call.
 // Readout noise comes from counter-keyed streams (ReadoutNoise) indexed by
 // the canonical conversion order, batched per (column, tile) through the
 // ziggurat sampler -- no sequential RNG anywhere in the sensing chain.  All
@@ -81,15 +84,27 @@ class AnalogCrossbarEngine final : public EincEngine {
 
   /// Re-keys the readout noise streams to `run_seed` and resets the
   /// conversion counter.  Without a call the engine behaves as run 0.  The
-  /// incremental state, when enabled, is rebuilt by the next evaluate().
+  /// incremental state, when enabled, is rebuilt by the next readout.
   void begin_run(std::uint64_t run_seed) override;
 
   EincResult evaluate(std::span<const ising::Spin> spins,
                       const ising::FlipSet& flips,
                       const AnnealSignal& signal) override;
 
+  /// The per-column loop of EincEngine::evaluate_columns, batched: one
+  /// keyed fill per block of columns (at most 1,024 draws, or one
+  /// column's), each (column, band) unit read from the bank sums when they
+  /// are live, else from the sweep, and one ledger merge per call.
+  /// Builds the bank sums from `spins` when they are enabled but not yet
+  /// built.  Bit-identical to the loop, noise cursor included.
+  void evaluate_columns(std::span<const ising::Spin> spins,
+                        const AnnealSignal& signal, std::span<double> raw_vmv,
+                        CostLedger& ledger) override;
+
   /// Moves every flipped row's cells to its new bank in the incremental
   /// state: O(degree * bits) per flipped row.  No-op without the state.
+  /// Rejects an out-of-range or repeated index before moving any cell, so
+  /// a contract_error leaves the state as it was.
   void on_flips_applied(std::span<const ising::Spin> spins_after,
                         const ising::FlipSet& flips) override;
 
@@ -98,7 +113,8 @@ class AnalogCrossbarEngine final : public EincEngine {
   /// reported through on_flips_applied(), and a wholesale spin rewrite
   /// needs begin_run() before the next evaluate().  The state is built from
   /// the spins of the next evaluate().  A no-op for arrays without
-  /// supports_incremental_readout(), which keep the sweep.
+  /// supports_incremental_readout(), which keep the sweep.  (Here and
+  /// below, evaluate_columns() counts as an evaluate().)
   void enable_incremental_readout();
   /// Whether evaluations read the incremental state.
   bool incremental_readout() const noexcept { return incremental_; }
@@ -135,9 +151,10 @@ class AnalogCrossbarEngine final : public EincEngine {
   /// Reusable per-engine scratch so evaluate() performs no heap allocation.
   /// The readout works per (flip, band) unit out of the unit scratch
   /// (below); `z` holds the whole evaluation's batched per-conversion draws
-  /// (one widened ziggurat fill), `conv_base` the per-(flip, band) offsets
-  /// into it in canonical cursor order, and `band_acc` accumulates each
-  /// band's signed code sums for the per-tile calibration.
+  /// (one widened ziggurat fill; in evaluate_columns(), one block of
+  /// columns'), `conv_base` the per-(flip, band) offsets into it in
+  /// canonical cursor order, and `band_acc` accumulates each band's signed
+  /// code sums for the per-tile calibration.
   struct EvalWorkspace {
     std::vector<std::uint8_t> flip_mask;
     std::vector<double> z;  ///< batched standard-normal conversion draws
@@ -167,6 +184,38 @@ class AnalogCrossbarEngine final : public EincEngine {
     double lane_sum[64];
     double lane_sq[64];
   };
+
+  /// Per-call invariants of the (flip, band) units: the signal's on-current,
+  /// the noise terms every conversion uses and the array's bit width and
+  /// square grid.
+  struct UnitInvariants {
+    double i_on = 0.0;
+    double read_noise_rel = 0.0;
+    double sigma_adc = 0.0;
+    double adc_variance = 0.0;
+    bool track_sq = false;
+    std::size_t bits = 0;
+    double square_grid = 1.0;
+    double inv_square_grid = 1.0;
+  };
+  UnitInvariants unit_invariants(const AnnealSignal& signal);
+
+  /// Validates `flips` and marks them in the workspace flip mask; throws,
+  /// leaving the mask clear, on an index >= num_spins() or, when
+  /// `distinct` is set, on a repeated index.
+  void mark_flips(const ising::FlipSet& flips, bool distinct);
+
+  /// Code sum of the (column flips[fi], band) unit: its [pass][slot] lanes
+  /// from the bank sums when they are live (the other flipped rows with a
+  /// cell in the unit leave their bank), else from the sweep over the
+  /// column's cells skipping the rows marked in the flip mask, converted
+  /// against the unit's draws `z`.  `view` is column flips[fi], `src` its
+  /// non-empty slot list in `band`.  The one per-unit lane and conversion
+  /// path of evaluate() and evaluate_columns().
+  double read_unit(const UnitInvariants& inv, const ising::Spin* spins,
+                   std::span<const std::uint32_t> flips, std::size_t fi,
+                   std::size_t band, const ProgrammedArray::ColumnView& view,
+                   std::span<const std::uint8_t> src, const double* z);
 
   void build_incremental_state(std::span<const ising::Spin> spins);
 

@@ -110,6 +110,24 @@ class EincEngine {
                               const ising::FlipSet& flips,
                               const AnnealSignal& signal) = 0;
 
+  /// Full-field read: one single-flip readout per column j <
+  /// raw_vmv.size(), in ascending j.  raw_vmv[j] and the events added to
+  /// `ledger` equal what evaluate(spins, {j}, signal) and merge_trace give,
+  /// bit for bit and with the same noise cursor; flipping column j of drive
+  /// b senses raw_vmv[j] = -b_j (J b)_j.  This default is that loop;
+  /// engines may batch it.
+  virtual void evaluate_columns(std::span<const ising::Spin> spins,
+                                const AnnealSignal& signal,
+                                std::span<double> raw_vmv, CostLedger& ledger) {
+    ising::FlipSet probe(1, 0);
+    for (std::size_t j = 0; j < raw_vmv.size(); ++j) {
+      probe[0] = static_cast<std::uint32_t>(j);
+      const auto evaluation = evaluate(spins, probe, signal);
+      merge_trace(ledger, evaluation.trace);
+      raw_vmv[j] = evaluation.raw_vmv;
+    }
+  }
+
   /// Cache-coherence protocol: the annealer MUST report every flip set it
   /// actually applies, after applying it to the spin vector, through this
   /// hook (`spins_after` already holds the flipped values).  Engines
@@ -117,9 +135,10 @@ class EincEngine {
   /// the analog engine's incremental bank sums -- resynchronize here in
   /// O(sum degree) (times the bit width for the bank sums); skipping a
   /// report, or reporting a set that was not applied, silently corrupts
-  /// every later evaluation.  Wholesale spin rewrites (restarts) require a
-  /// fresh engine or cache reset instead.  Default no-op for stateless
-  /// engines.
+  /// every later evaluation.  Simulated bifurcation reports its drive
+  /// vector's per-step sign changes the same way.  Wholesale spin rewrites
+  /// (restarts) require a fresh engine or cache reset instead.  Default
+  /// no-op for stateless engines.
   virtual void on_flips_applied(std::span<const ising::Spin> spins_after,
                                 const ising::FlipSet& flips) {
     (void)spins_after;

@@ -2,8 +2,9 @@
 // read noise.
 //
 //  * Campaign guard -- the FNV-1a digests below pin every run record and the
-//    summed ledger of noisy, tiled, simulated-bifurcation and noise-free
-//    (read noise 0, ADC noise 0) campaigns.  A mismatch means programming or
+//    summed ledger of noisy, tiled, simulated-bifurcation (both variants,
+//    monolithic and tiled) and noise-free (read noise 0, ADC noise 0)
+//    campaigns.  A mismatch means programming or
 //    the readout changed results -- fix the code, never re-pin.
 //  * Lean vs full -- the same couplings, seed and tile shape programmed
 //    with and without read noise must agree on every cell, every
@@ -94,6 +95,7 @@ enum class GuardCase {
   kNoisyMonolithic,  ///< StandardSetup defaults (vth 0.03, read noise 0.02)
   kNoisyTiled,       ///< the same on a 4-band tile grid
   kSbBallistic,      ///< simulated bifurcation, StandardSetup defaults
+  kSbDiscreteTiled,  ///< discrete simulated bifurcation on the tile grid
   kDeterministic,    ///< read noise 0, ADC noise 0: the sigma = 0 readout
   kDeterministicTiled,
 };
@@ -115,6 +117,8 @@ constexpr GuardGolden kGuardGoldens[] = {
      0x7a1cbf13a176b81dull},
     {"noisy tiled", GuardCase::kNoisyTiled, 660424, 0x0e7212cc686b03c3ull},
     {"sb-ballistic", GuardCase::kSbBallistic, 720640, 0xfa36be36ab0eed1cull},
+    {"sb-discrete tiled", GuardCase::kSbDiscreteTiled, 1363840,
+     0x9ff94698b049cd46ull},
     {"deterministic", GuardCase::kDeterministic, 342392,
      0xaf640a1019249d47ull},
     {"deterministic tiled", GuardCase::kDeterministicTiled, 659000,
@@ -137,6 +141,11 @@ std::unique_ptr<core::Annealer> guard_annealer(
     case GuardCase::kSbBallistic:
       setup.iterations = 40;
       return core::make_annealer(core::AnnealerKind::kSbBallistic,
+                                 problem.model, setup);
+    case GuardCase::kSbDiscreteTiled:
+      setup.iterations = 40;
+      setup.tiles = tiled;
+      return core::make_annealer(core::AnnealerKind::kSbDiscrete,
                                  problem.model, setup);
     case GuardCase::kDeterministic:
     case GuardCase::kDeterministicTiled: {

@@ -20,6 +20,7 @@
 #include <new>
 
 #include "core/acceptance.hpp"
+#include "core/bifurcation_annealer.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
 #include "crossbar/analog_engine.hpp"
@@ -681,6 +682,27 @@ TEST(ZeroAllocationLoop, InSituAnalogIncrementalReadout) {
     EXPECT_TRUE(annealer->array()->supports_incremental_readout());
     return annealer;
   });
+}
+
+TEST(ZeroAllocationLoop, SbAnalogIncremental) {
+  // Both variants on 16-row tiles with read noise: the drive's sign changes
+  // move the per-run bank sums in place, and every step's batched field
+  // read reuses the engine's draw buffer.
+  const auto instance = unit_instance(64, 95);
+  for (const auto variant :
+       {core::SbVariant::kBallistic, core::SbVariant::kDiscrete}) {
+    expect_iteration_free_allocations([&](std::size_t steps) {
+      core::SbConfig config;
+      config.steps = steps;
+      config.variant = variant;
+      config.variation = {0.03, 0.02, 0.0, 0.0};
+      config.tiles = crossbar::TileShape{16, 0};
+      auto annealer =
+          std::make_unique<core::BifurcationAnnealer>(instance.model, config);
+      EXPECT_TRUE(annealer->array()->supports_incremental_readout());
+      return annealer;
+    });
+  }
 }
 
 TEST(ZeroAllocationLoop, InSituIdealRandomSelection) {

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/insitu_annealer.hpp"
 #include "crossbar/analog_engine.hpp"
@@ -221,6 +222,45 @@ TEST(ReadoutCoherence, DuplicateFlipsAreRejectedWithoutStaleMask) {
   EXPECT_EQ(cursor, 0u);
   EXPECT_EQ(engine.evaluate(spins, ising::FlipSet{4, 7}, {}).e_inc,
             reference.evaluate(spins, ising::FlipSet{4, 7}, {}).e_inc);
+}
+
+TEST(ReadoutCoherence, RejectedReportsMoveNoCell) {
+  const auto model = maxcut_model(64, 8.0, problems::WeightScheme::kUnit, 10);
+  const crossbar::QuantizedCouplings quantized(model->couplings(), 8);
+  core::InSituConfig config;
+  const crossbar::CrossbarMapping mapping(model->num_spins(), 1,
+                                          config.mapping);
+  const auto array = std::make_shared<const crossbar::ProgrammedArray>(
+      quantized, mapping, config.device,
+      device::VariationParams{0.03, 0.02, 0.0, 0.0}, 3);
+  ASSERT_TRUE(array->supports_incremental_readout());
+  crossbar::AnalogCrossbarEngine engine(array, config.analog);
+  engine.enable_incremental_readout();
+  util::Rng rng(12);
+  auto spins = ising::random_spins(model->num_spins(), rng);
+  (void)engine.evaluate(spins, ising::FlipSet{0}, {});
+  const std::vector<double> before(engine.incremental_state().begin(),
+                                   engine.incremental_state().end());
+  ASSERT_FALSE(before.empty());
+
+  // An index past the array, after a valid one whose cells would move
+  // first if the set were checked row by row.
+  ising::flip_in_place(spins, ising::FlipSet{7});
+  EXPECT_THROW(engine.on_flips_applied(spins, ising::FlipSet{7, 1000}),
+               contract_error);
+  expect_equal_spans(engine.incremental_state(), before);
+  // A repeated index: the row would leave its bank twice.
+  ising::flip_in_place(spins, ising::FlipSet{9});
+  EXPECT_THROW(engine.on_flips_applied(spins, ising::FlipSet{9, 9}),
+               contract_error);
+  expect_equal_spans(engine.incremental_state(), before);
+
+  // The state is still the pre-report one, so the valid report applies.
+  engine.on_flips_applied(spins, ising::FlipSet{7, 9});
+  crossbar::AnalogCrossbarEngine fresh(array, config.analog);
+  fresh.enable_incremental_readout();
+  (void)fresh.evaluate(spins, ising::FlipSet{0}, {});
+  expect_equal_spans(engine.incremental_state(), fresh.incremental_state());
 }
 
 }  // namespace

@@ -26,13 +26,22 @@
 // store nothing extra: one that fails the exactness proof and one above the
 // size rule.
 //
+// A third layer checks simulated bifurcation's batched full-field read
+// (evaluate_columns) on the same configurations, a quarter of them with
+// random local fields folded into a pinned ancilla: the analog override on
+// the sweep and on bank sums against the base per-column loop, bit for bit
+// on every raw_vmv, the ledger and the cursor, before and after random
+// drive-change sets.
+//
 // Labeled `differential` (and excluded from the tier-1 fast loop) in
 // CMakeLists.txt; tools/check.sh --sanitize runs it under ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/insitu_annealer.hpp"
 #include "crossbar/analog_engine.hpp"
@@ -198,12 +207,23 @@ struct Programmed {
   core::InSituConfig config;
 };
 
-Programmed program(const DifferentialConfig& cfg, double degree) {
+/// The configuration's Max-Cut model programmed into an array; with
+/// `ancilla`, random local fields are folded into one always-up spin (the
+/// last), whose row couples to every column.
+Programmed program(const DifferentialConfig& cfg, double degree,
+                   bool ancilla = false) {
   Programmed p;
-  p.model = std::make_shared<const ising::IsingModel>(
-      problems::maxcut_to_ising(problems::random_graph(
-          cfg.n, std::min(static_cast<double>(cfg.n - 1), degree),
-          cfg.weights, cfg.graph_seed)));
+  auto model = problems::maxcut_to_ising(problems::random_graph(
+      cfg.n, std::min(static_cast<double>(cfg.n - 1), degree), cfg.weights,
+      cfg.graph_seed));
+  if (ancilla) {
+    util::Rng rng(cfg.graph_seed ^ 0xa2c111aULL);
+    std::vector<double> fields(model.num_spins());
+    for (auto& h : fields) h = rng.uniform(-1.5, 1.5);
+    model = ising::IsingModel(model.couplings(), std::move(fields))
+                .with_ancilla();
+  }
+  p.model = std::make_shared<const ising::IsingModel>(std::move(model));
   p.config.mapping.bits = cfg.bits;
   p.config.analog.adc.noise_lsb_rms = cfg.adc_noise_lsb;
   const crossbar::QuantizedCouplings quantized(p.model->couplings(),
@@ -362,6 +382,100 @@ TEST(SweepDifferential, ArrayAboveTheSizeRuleKeepsTheSweep) {
   EXPECT_FALSE(engine.incremental_readout());
   EXPECT_FALSE(run_sequence(large, 23, 30));
   EXPECT_TRUE(engine.incremental_state().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Batched full-field read vs the per-column loop.
+// ---------------------------------------------------------------------------
+
+void expect_same_ledger(const crossbar::CostLedger& a,
+                        const crossbar::CostLedger& b) {
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.adc_conversions, b.adc_conversions);
+  EXPECT_EQ(a.mux_slot_cycles, b.mux_slot_cycles);
+  EXPECT_EQ(a.row_drives, b.row_drives);
+  EXPECT_EQ(a.column_drives, b.column_drives);
+  EXPECT_EQ(a.bg_dac_updates, b.bg_dac_updates);
+  EXPECT_EQ(a.exp_evaluations, b.exp_evaluations);
+  EXPECT_EQ(a.spin_updates, b.spin_updates);
+  EXPECT_EQ(a.crossbar_passes, b.crossbar_passes);
+  EXPECT_EQ(a.tile_activations, b.tile_activations);
+  EXPECT_EQ(a.partial_sum_updates, b.partial_sum_updates);
+}
+
+/// Reads every flippable column `rounds` times, as simulated bifurcation
+/// does, through the analog override on the sweep, the override on bank
+/// sums and the base loop (on the sweep), reporting a random drive-change
+/// set to all three between rounds.  Returns whether the bank-sum engine
+/// read its state.
+bool run_column_reads(const Programmed& p, std::uint64_t run_seed,
+                      int rounds) {
+  const auto& array = p.array;
+  crossbar::AnalogCrossbarEngine sweep(array, p.config.analog);
+  crossbar::AnalogCrossbarEngine banks(array, p.config.analog);
+  crossbar::AnalogCrossbarEngine loop(array, p.config.analog);
+  banks.enable_incremental_readout();
+  for (auto* engine : {&sweep, &banks, &loop}) engine->begin_run(run_seed);
+
+  util::Rng rng(run_seed ^ 0xc01ULL);
+  const std::size_t flippable = p.model->num_flippable();
+  auto drive = ising::random_spins(p.model->num_spins(), rng);
+  if (p.model->has_ancilla()) drive.back() = 1;
+  std::vector<double> from_sweep(flippable), from_banks(flippable),
+      from_loop(flippable);
+  crossbar::CostLedger sweep_ledger, banks_ledger, loop_ledger;
+  for (int round = 0; round < rounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const crossbar::AnnealSignal signal{
+        rng.uniform01(), rng.uniform(0.3, array->device_params().vbg_max)};
+    sweep.evaluate_columns(drive, signal, from_sweep, sweep_ledger);
+    banks.evaluate_columns(drive, signal, from_banks, banks_ledger);
+    loop.crossbar::EincEngine::evaluate_columns(drive, signal, from_loop,
+                                                loop_ledger);
+    for (std::size_t j = 0; j < flippable; ++j) {
+      // Bit identity, signed zeros included.
+      const auto want = std::bit_cast<std::uint64_t>(from_loop[j]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_sweep[j]), want)
+          << "column " << j;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_banks[j]), want)
+          << "column " << j;
+      if (::testing::Test::HasFailure()) return false;
+    }
+    expect_same_ledger(sweep_ledger, loop_ledger);
+    expect_same_ledger(banks_ledger, loop_ledger);
+    EXPECT_EQ(sweep.readout_noise().next_conversion,
+              loop.readout_noise().next_conversion);
+    EXPECT_EQ(banks.readout_noise().next_conversion,
+              loop.readout_noise().next_conversion);
+    if (::testing::Test::HasFailure()) return false;
+
+    const auto changes = ising::random_flip_set(
+        flippable, 1 + rng.uniform_index(std::max<std::size_t>(1, flippable / 4)),
+        rng);
+    ising::flip_in_place(drive, changes);
+    for (auto* engine : {&sweep, &banks, &loop})
+      engine->on_flips_applied(drive, changes);
+  }
+  return !banks.incremental_state().empty();
+}
+
+TEST(SweepDifferential, BatchedColumnReadMatchesThePerColumnLoop) {
+  std::size_t banked = 0;
+  for (std::uint64_t index = 0; index < kNumConfigs; ++index) {
+    auto cfg = make_config(index);
+    // V_TH spreads the exactness proof can cover, so most configurations
+    // also exercise the bank sums.
+    cfg.variation.vth_sigma = std::min(cfg.variation.vth_sigma, 0.04);
+    const bool ancilla = index % 4 == 3;
+    SCOPED_TRACE(::testing::Message()
+                 << "config " << index << " n=" << cfg.n << " bits="
+                 << cfg.bits << " tiles.rows=" << cfg.tiles.rows
+                 << (ancilla ? " ancilla" : ""));
+    const auto p = program(cfg, 6.0, ancilla);
+    if (run_column_reads(p, cfg.run_seed, 3)) ++banked;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(banked, kNumConfigs * 9 / 10);
 }
 
 }  // namespace
