@@ -1,886 +1,361 @@
-// Hot-path throughput benchmark: optimized simulation kernels vs the seed
-// algorithms preserved in crossbar/reference_kernels.hpp.
+// Hot-path ratio benchmark: each row times an optimized simulator path (A)
+// against the reference it replaced (B) on identical inputs and reports the
+// A/B throughput ratio.  A ratio holds still when the whole host speeds up
+// or slows down, which absolute rates on a shared host do not; end-to-end
+// absolutes are fecimbench's job.
 //
-//   1. Analog engine evaluations/sec at N in {256, 1024, 4096}, in two
-//      regimes: "analog" (deterministic device: ideal cells, noiseless ADC)
-//      times the readout sweep at sigma = 0 -- bit-plane column metadata,
-//      flip bitmask, V_BG memoization, keyed draws scaled by zero -- while
-//      "analog-noisy" (Vth spread + read noise + ADC noise) tracks the
-//      stochastic path: counter-keyed ziggurat streams (batched per column)
-//      vs the reference kernel computing the identical keyed draws
-//      scalar-wise.  "analog-noisy-tiled" (schema v5) runs the same noisy
-//      regime over a 4-tile row grid (n/4-row tiles), timing the per-tile
-//      conversion walk with digital partial-sum accumulation against the
-//      tile-aware reference.
-//   2. Normal-sampler throughput: the counter-keyed ziggurat
-//      (NoiseStream::normal_fill) vs the sequential Box-Muller in
-//      Rng::normal() it replaced on the noisy hot path.
-//   3. In-situ annealer iterations/sec on the ideal engine (local-field
-//      cache + zero-allocation loop vs seed loop with per-call n-byte
-//      bitmap zero-fills and per-iteration allocations).
-//   4. Instance ingestion: parsing a Gset-scale edge list (text -> Graph,
-//      via the hardened read_gset on the shared instance_io core) and
-//      programming it into a crossbar (quantize + map + ProgrammedArray).
-//      Tracks the O(m) edge-merge path -- the seed's O(m^2) parallel-edge
-//      scan made 20k-edge files minutes-slow -- but is never gated
-//      (tools/bench_gate.py), since parse cost is not a hot-path signal.
-//   5. Campaign wall-clock at N in {256, 1024} in two regimes: "analog"
-//      (deterministic device) pits run_campaign (persistent pool,
-//      zero-allocation inner loops, mutex-free reduction) against a
-//      faithful legacy campaign (reference kernels, per-iteration
-//      allocations, thread spawn per call, merge mutex); "analog-noisy"
-//      measures replica-parallel scaling of the stochastic path
-//      (threads=N vs threads=1 -- legal since counter-keyed noise streams
-//      unbound runs from a shared RNG).  "analog-lifecycle" reruns the
-//      deterministic campaign with an armed (never-tripping) run deadline
-//      against the token-free path, pinning the amortized cancellation
-//      poll's overhead at ~1.0x (PERF.md invariant).  The n=256 rows run in
-//      every mode so check.sh smoke passes always have baseline rows to
-//      gate on.  Schema v7 adds an "sb-ballistic" row: the simulated-
-//      bifurcation backend's campaign wall-clock (parallel vs serial), with
-//      a per-run replica-determinism assertion on its counter-keyed dither.
-//      Schema v9 drops v8's forked-worker campaign row and the per-row
-//      "workers" field, together with the multi-process path they timed.
+//   sweep n=256, sweep n=1024   noisy AnalogCrossbarEngine::evaluate on the
+//                               per-cell sweep (V_TH spread, read and ADC
+//                               noise) vs reference::analog_evaluate;
+//   sweep-tiled n=256, n=1024   the same over n/4-row tiles;
+//   ideal n=1024                IdealCrossbarEngine with its local-field
+//                               cache vs reference::incremental_vmv;
+//   sampler                     NoiseStream::normal_fill vs per-index
+//                               normal(i) over the same indices;
+//   lifecycle                   a noisy in-situ n=256 run under an armed
+//                               one-hour run deadline vs the token-free run
+//                               (PERF.md invariant 6);
+//   program-cached              an ArrayCache hit vs a cold ProgrammedArray
+//                               build of one noisy n=256 array (a single
+//                               programming chunk, so single-threaded).
 //
-// Emits machine-readable JSON (default BENCH_hotpath.json; FECIM_BENCH_OUT
-// overrides) so the perf trajectory is tracked across PRs.
-// FECIM_BENCH_SMOKE=1 runs a seconds-scale subset; it skips the default
-// JSON rewrite but honors an explicit FECIM_BENCH_OUT, which is how
-// tools/check.sh captures smoke numbers for its regression gate.
+// Each side's operation count is calibrated once so that one side of one
+// trial runs for at least kMinSideSeconds.  Then kTrials rounds each run
+// one trial of every row, alternating which side runs first, and a row
+// keeps its per-trial ratios and their median.  Spreading a row's trials
+// over the whole run keeps a few seconds of contention on a shared host
+// from moving its median.  Every row runs on one thread, so its sides are
+// timed in thread CPU time, which leaves out any interval the thread spends
+// descheduled.
+//
+// lifecycle requires both runs to be bit-identical and program-cached
+// requires a hit to return the first build; a failed check exits 1 after
+// the rows are written.  FECIM_BENCH_OUT names the JSON file to write;
+// tools/bench_gate.py compares it with BENCH_hotpath.json.
+#include <time.h>
+
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "core/acceptance.hpp"
 #include "core/insitu_annealer.hpp"
-#include "core/runner.hpp"
 #include "core/schedule.hpp"
 #include "crossbar/analog_engine.hpp"
 #include "crossbar/array_cache.hpp"
 #include "crossbar/ideal_engine.hpp"
 #include "crossbar/reference_kernels.hpp"
 #include "problems/generators.hpp"
-#include "problems/gset_io.hpp"
 #include "problems/maxcut.hpp"
-#include "util/timer.hpp"
+#include "util/stats.hpp"
+#include "util/table.hpp"
 
 namespace {
 
 using namespace fecim;
 
-struct EngineRow {
-  std::size_t n = 0;
-  std::string engine;
-  double optimized_per_sec = 0.0;
-  double reference_per_sec = 0.0;
-  double speedup = 0.0;
-};
+constexpr int kTrials = 5;
+constexpr double kMinSideSeconds = 0.1;
 
-struct CampaignRow {
-  std::size_t n = 0;
-  std::string kind;  ///< "analog" (vs seed legacy) | "analog-noisy" (threads scaling)
-  std::size_t runs = 0;
-  std::size_t iterations = 0;
-  std::size_t threads = 0;
-  double optimized_seconds = 0.0;
-  double legacy_seconds = 0.0;
-  double speedup = 0.0;
-};
+/// Receives every timed operation's result so no side's work is dead code.
+volatile double g_sink = 0.0;
+bool g_check_failed = false;
 
-ising::IsingModel bench_model(std::size_t n, std::uint64_t seed) {
-  // Average degree 24: Gset-like density, so per-cell decoding work is
-  // representative of the paper's Max-Cut groups.
-  return problems::maxcut_to_ising(problems::random_graph(
-      n, 24.0, problems::WeightScheme::kPlusMinusOne, seed));
+void check(bool ok, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "bench_hotpath: %s\n", what);
+  g_check_failed = true;
 }
 
-core::InSituConfig analog_config(bool noisy) {
-  core::InSituConfig config;  // defaults: 8-bit weights, IR drop modeled
-  if (noisy) {
-    config.variation.vth_sigma = 0.03;
-    config.variation.read_noise_rel = 0.02;
-  } else {
-    config.analog.adc.noise_lsb_rms = 0.0;  // noise-free readout
+double thread_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+/// One side of a row: runs `count` operations, continuing its own running
+/// operation index, and returns the seconds they took.
+using Side = std::function<double(std::size_t count)>;
+
+/// Wraps `op`, which performs the operation with the given index and
+/// returns a value for the sink, into a Side.
+template <typename Op>
+Side side(Op op) {
+  return [op, next = std::size_t{0}](std::size_t count) mutable {
+    double sum = 0.0;
+    const double start = thread_cpu_seconds();
+    for (const std::size_t end = next + count; next < end; ++next)
+      sum += op(next);
+    const double elapsed = thread_cpu_seconds() - start;
+    g_sink = g_sink + sum;
+    return elapsed;
+  };
+}
+
+struct Row {
+  std::string name;
+  Side optimized;
+  Side reference;
+};
+
+struct Measured {
+  std::string name;
+  std::vector<double> trial_ratios;  ///< A/B throughput, one per trial
+  double median_ratio = 0.0;
+};
+
+/// The one timing helper: calibrates every side, then runs the trials.
+std::vector<Measured> measure(std::vector<Row>& rows) {
+  const auto calibrate = [](Side& side) {
+    std::size_t count = 1;
+    while (side(count) < kMinSideSeconds) count *= 2;
+    return count;
+  };
+  std::vector<std::size_t> count_a(rows.size());
+  std::vector<std::size_t> count_b(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    count_a[r] = calibrate(rows[r].optimized);
+    count_b[r] = calibrate(rows[r].reference);
   }
+  std::vector<Measured> measured(rows.size());
+  for (int trial = 0; trial < kTrials; ++trial) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      Row& row = rows[r];
+      double a = 0.0;
+      double b = 0.0;
+      if (trial % 2 == 0) {
+        a = row.optimized(count_a[r]);
+        b = row.reference(count_b[r]);
+      } else {
+        b = row.reference(count_b[r]);
+        a = row.optimized(count_a[r]);
+      }
+      measured[r].trial_ratios.push_back(
+          static_cast<double>(count_a[r]) * b /
+          (static_cast<double>(count_b[r]) * a));
+    }
+  }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    measured[r].name = rows[r].name;
+    measured[r].median_ratio = util::median(measured[r].trial_ratios);
+  }
+  return measured;
+}
+
+core::InSituConfig noisy_config() {
+  core::InSituConfig config;  // 8-bit weights, IR drop and ADC noise on
+  config.variation.vth_sigma = 0.03;
+  config.variation.read_noise_rel = 0.02;
   return config;
 }
 
-/// Minimum wall time over three repetitions: smoke-scale timed regions are
-/// milliseconds long, where single samples scatter by tens of percent on a
-/// busy machine; the minimum is the standard noise-robust estimator and
-/// keeps the bench_gate rows stable run to run.
-template <typename Body>
-double best_of_three_seconds(const Body& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    util::WallTimer timer;
-    body();
-    best = std::min(best, timer.seconds());
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// 1. Analog engine evaluations/sec.
-// ---------------------------------------------------------------------------
-
-struct AnalogWorkload {
-  core::InSituConfig config;
-  std::shared_ptr<const crossbar::ProgrammedArray> array;
-  core::BgAnnealingSchedule schedule;
+/// One Max-Cut instance at average degree 24 (Gset-like density, so the
+/// per-cell work matches the paper's groups), its crossbar encoding, fixed
+/// spins, and a cycled stream of |F| = 2 proposals with their schedule
+/// signals: a timed region holds readouts only, and both sides of a row
+/// read identical inputs.
+struct EngineInputs {
+  std::shared_ptr<const ising::IsingModel> model;
+  core::InSituConfig config = noisy_config();
+  crossbar::QuantizedCouplings quantized;
+  crossbar::CrossbarMapping mapping;
   ising::SpinVector spins;
-  std::size_t flips_per_iteration = 2;
-};
+  std::vector<ising::FlipSet> flips;
+  std::vector<crossbar::AnnealSignal> signals;
 
-AnalogWorkload make_analog_workload(const ising::IsingModel& model,
-                                    std::size_t iterations, bool noisy,
-                                    const crossbar::TileShape& tiles = {}) {
-  auto config = analog_config(noisy);
-  config.tiles = tiles;
-  const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                               config.mapping.bits);
-  const crossbar::CrossbarMapping mapping(
-      model.num_spins(), quantized.has_negative() ? 2 : 1, config.mapping);
-  AnalogWorkload workload{
-      config,
-      std::make_shared<const crossbar::ProgrammedArray>(
-          quantized, mapping, config.device, config.variation, 0x5eed,
-          tiles),
-      core::BgAnnealingSchedule([&] {
-        auto schedule_config = config.schedule;
-        schedule_config.total_iterations = iterations;
-        return schedule_config;
-      }()),
-      {},
-      2};
-  util::Rng spin_rng(7);
-  workload.spins = ising::random_spins(model.num_spins(), spin_rng);
-  return workload;
-}
-
-template <typename Evaluate>
-double measure_analog(const AnalogWorkload& workload, std::size_t iterations,
-                      const Evaluate& evaluate) {
-  util::Rng rng(42);
-  const std::size_t n = workload.spins.size();
-  const std::size_t t = workload.flips_per_iteration;
-
-  // Pre-generate the proposal/signal stream so the timed region contains
-  // engine evaluations only (both variants get the identical workload).
-  std::vector<std::uint32_t> flip_stream(iterations * t);
-  std::vector<crossbar::AnnealSignal> signals(iterations);
-  {
-    ising::FlipSet scratch;
-    for (std::size_t it = 0; it < iterations; ++it) {
-      ising::random_flip_set_into(scratch, n, t, rng);
-      std::copy(scratch.begin(), scratch.end(),
-                flip_stream.begin() + static_cast<std::ptrdiff_t>(it * t));
-      const auto point = workload.schedule.at(it);
-      signals[it] = {point.factor, point.vbg};
+  explicit EngineInputs(std::size_t n)
+      : model(std::make_shared<const ising::IsingModel>(
+            problems::maxcut_to_ising(problems::random_graph(
+                n, 24.0, problems::WeightScheme::kPlusMinusOne, 1000 + n)))),
+        quantized(model->couplings(), config.mapping.bits),
+        mapping(n, quantized.has_negative() ? 2 : 1, config.mapping) {
+    constexpr std::size_t kProposals = 4096;
+    auto schedule_config = config.schedule;
+    schedule_config.total_iterations = kProposals;
+    const core::BgAnnealingSchedule schedule(schedule_config);
+    util::Rng rng(7);
+    spins = ising::random_spins(n, rng);
+    for (std::size_t i = 0; i < kProposals; ++i) {
+      flips.push_back(ising::random_flip_set(n, 2, rng));
+      const auto point = schedule.at(i);
+      signals.push_back({point.factor, point.vbg});
     }
   }
 
-  // Best of three timed passes: smoke-scale iteration counts measure
-  // milliseconds, where single samples scatter enough to trip the bench
-  // gate on a loaded machine.
-  ising::FlipSet flips(t);
-  double checksum = 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    util::WallTimer timer;
-    for (std::size_t it = 0; it < iterations; ++it) {
-      for (std::size_t k = 0; k < t; ++k) flips[k] = flip_stream[it * t + k];
-      checksum += evaluate(flips, signals[it]);
-    }
-    best = std::min(best, timer.seconds());
+  std::size_t n() const noexcept { return model->num_spins(); }
+  std::size_t proposal(std::size_t op) const noexcept {
+    return op % flips.size();
   }
-  if (checksum == 0.12345) std::printf("(unreachable checksum)\n");
-  return static_cast<double>(iterations) / best;
-}
-
-EngineRow bench_analog_engine(std::size_t n, std::size_t iterations,
-                              bool noisy,
-                              const crossbar::TileShape& tiles = {}) {
-  const auto model = bench_model(n, 1000 + n);
-  auto workload = make_analog_workload(model, iterations, noisy, tiles);
-
-  crossbar::AnalogCrossbarEngine engine(workload.array,
-                                        workload.config.analog);
-  const double i_on_max =
-      workload.array->on_current(workload.array->device_params().vbg_max);
-
-  std::string name = noisy ? "analog-noisy" : "analog";
-  if (!tiles.monolithic()) name += "-tiled";
-  EngineRow row{n, std::move(name), 0.0, 0.0, 0.0};
-  engine.begin_run(42);
-  row.optimized_per_sec = measure_analog(
-      workload, iterations,
-      [&](const ising::FlipSet& flips, const crossbar::AnnealSignal& signal) {
-        return engine.evaluate(workload.spins, flips, signal).e_inc;
-      });
-  auto noise = crossbar::ReadoutNoise::for_run(42);
-  row.reference_per_sec = measure_analog(
-      workload, iterations,
-      [&](const ising::FlipSet& flips, const crossbar::AnnealSignal& signal) {
-        return crossbar::reference::analog_evaluate(
-                   *workload.array, engine.adc(), engine.band_attenuations(),
-                   i_on_max, workload.spins, flips, signal, noise)
-            .e_inc;
-      });
-  row.speedup = row.optimized_per_sec / row.reference_per_sec;
-  return row;
-}
-
-// ---------------------------------------------------------------------------
-// 2. Normal-sampler throughput: counter-keyed ziggurat vs sequential
-//    Box-Muller.  The noisy-analog regime consumes one normal per ADC
-//    conversion (total input-referred sigma, see crossbar::ReadoutNoise),
-//    so per-draw cost directly scales its stochastic overhead.
-// ---------------------------------------------------------------------------
-
-struct SamplerRow {
-  double ziggurat_per_sec = 0.0;
-  double box_muller_per_sec = 0.0;
-  double speedup = 0.0;
 };
 
-SamplerRow bench_sampler(std::size_t draws) {
-  SamplerRow row;
-  constexpr std::size_t kBatch = 1024;
-  std::vector<double> buffer(kBatch);
-  double checksum = 0.0;
-  {
-    const util::NoiseStream stream(99, util::stream_site::kReadNoise);
-    const double elapsed = best_of_three_seconds([&] {
-      for (std::size_t base = 0; base < draws; base += kBatch) {
-        stream.normal_fill(base, buffer);
-        checksum += buffer[0];
-      }
-    });
-    row.ziggurat_per_sec = static_cast<double>(draws) / elapsed;
-  }
-  {
-    const double elapsed = best_of_three_seconds([&] {
-      util::Rng rng(99);
-      for (std::size_t i = 0; i < draws; ++i) checksum += rng.normal();
-    });
-    row.box_muller_per_sec = static_cast<double>(draws) / elapsed;
-  }
-  if (checksum == 0.12345) std::printf("(unreachable checksum)\n");
-  row.speedup = row.ziggurat_per_sec / row.box_muller_per_sec;
-  return row;
+using Inputs = std::shared_ptr<const EngineInputs>;
+
+Row sweep_row(const Inputs& in, const crossbar::TileShape& tiles) {
+  const auto array = std::make_shared<const crossbar::ProgrammedArray>(
+      in->quantized, in->mapping, in->config.device, in->config.variation,
+      in->config.array_seed, tiles);
+  const auto engine = std::make_shared<crossbar::AnalogCrossbarEngine>(
+      array, in->config.analog);
+  engine->begin_run(42);
+  const double i_on_max = array->on_current(array->device_params().vbg_max);
+  return {(tiles.monolithic() ? "sweep n=" : "sweep-tiled n=") +
+              std::to_string(in->n()),
+          side([in, engine](std::size_t op) {
+            const std::size_t k = in->proposal(op);
+            return engine->evaluate(in->spins, in->flips[k], in->signals[k])
+                .e_inc;
+          }),
+          side([in, array, engine, i_on_max,
+                noise = crossbar::ReadoutNoise::for_run(42)](
+                   std::size_t op) mutable {
+            const std::size_t k = in->proposal(op);
+            return crossbar::reference::analog_evaluate(
+                       *array, engine->adc(), engine->band_attenuations(),
+                       i_on_max, in->spins, in->flips[k], in->signals[k],
+                       noise)
+                .e_inc;
+          })};
 }
 
-// ---------------------------------------------------------------------------
-// 3. In-situ annealer iterations/sec on the ideal engine.
-// ---------------------------------------------------------------------------
-
-EngineRow bench_ideal_annealer(std::size_t n, std::size_t iterations) {
-  const auto model =
-      std::make_shared<const ising::IsingModel>(bench_model(n, 2000 + n));
-  core::InSituConfig config;
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  config.engine = core::InSituConfig::EngineKind::kIdeal;
-  const core::InSituCimAnnealer annealer(model, config);
-
-  EngineRow row{n, "ideal-annealer", 0.0, 0.0, 0.0};
-  {
-    const double elapsed = best_of_three_seconds([&] {
-      const auto result = annealer.run(99);
-      if (result.ledger.iterations != iterations)
-        std::printf("(iteration mismatch)\n");
-    });
-    row.optimized_per_sec = static_cast<double>(iterations) / elapsed;
-  }
-  {
-    // Seed loop: cache-less engine (stateless CSR row walks with an n-byte
-    // bitmap zero-fill per call), freshly-allocated flip sets, delta_energy
-    // row walk on every accept.  State re-initializes inside the repeat so
-    // every timed pass runs the identical workload.
-    const double elapsed = best_of_three_seconds([&] {
-      util::Rng rng(99);
-      crossbar::IdealCrossbarEngine engine(*model, annealer.mapping(),
-                                           crossbar::Accounting::kInSitu);
-      auto spins = ising::random_spins(model->num_spins(), rng);
-      double energy = model->energy(spins);
-      double best = energy;
-      const core::FractionalAcceptance acceptance;
-      for (std::size_t it = 0; it < iterations; ++it) {
-        const auto point = annealer.schedule().at(it);
-        const auto flips = ising::random_flip_set(model->num_flippable(),
-                                                  config.flips_per_iteration,
-                                                  rng);
-        // The seed engine evaluated through the reference VMV (fresh bitmap
-        // allocation + zero-fill per call).
-        crossbar::EincResult evaluation;
-        evaluation.raw_vmv =
-            crossbar::reference::incremental_vmv(*model, spins, flips);
-        evaluation.e_inc = evaluation.raw_vmv * point.factor;
-        if (acceptance.accept(config.acceptance_gain * evaluation.e_inc,
-                              rng)) {
-          energy += model->delta_energy(spins, flips);
-          ising::flip_in_place(spins, flips);
-          if (energy < best) best = energy;
-        }
-      }
-      if (best > energy) std::printf("(unreachable)\n");
-    });
-    row.reference_per_sec = static_cast<double>(iterations) / elapsed;
-  }
-  row.speedup = row.optimized_per_sec / row.reference_per_sec;
-  return row;
+Row ideal_row(const Inputs& in) {
+  const auto engine = std::make_shared<crossbar::IdealCrossbarEngine>(
+      *in->model, in->mapping, crossbar::Accounting::kInSitu);
+  engine->enable_local_field_cache();
+  return {"ideal n=" + std::to_string(in->n()),
+          side([in, engine](std::size_t op) {
+            const std::size_t k = in->proposal(op);
+            return engine->evaluate(in->spins, in->flips[k], in->signals[k])
+                .raw_vmv;
+          }),
+          side([in](std::size_t op) {
+            return crossbar::reference::incremental_vmv(
+                *in->model, in->spins, in->flips[in->proposal(op)]);
+          })};
 }
 
-// ---------------------------------------------------------------------------
-// 4. Instance ingestion: Gset-scale parse + crossbar programming.
-// ---------------------------------------------------------------------------
-
-struct IngestionRow {
-  std::size_t n = 0;
-  std::size_t edges = 0;
-  double parse_seconds = 0.0;
-  double program_seconds = 0.0;
-  /// Second programming of the same digest through the array cache: the
-  /// steady-state cost a batch/serve workload pays per repeated instance.
-  double program_seconds_cached = 0.0;
-  double edges_per_sec_parse = 0.0;
-};
-
-IngestionRow bench_ingestion(std::size_t n, double avg_degree) {
-  const auto graph = problems::random_graph(
-      n, avg_degree, problems::WeightScheme::kPlusMinusOne, 4000 + n);
-  std::string text;
-  {
-    std::ostringstream out;
-    problems::write_gset(graph, out);
-    text = out.str();
-  }
-
-  IngestionRow row;
-  row.n = n;
-  row.edges = graph.num_edges();
-
-  std::size_t checksum = 0;
-  row.parse_seconds = best_of_three_seconds([&] {
-    std::istringstream in(text);
-    const auto parsed = problems::read_gset(in);
-    checksum += parsed.num_edges();
-  });
-  row.edges_per_sec_parse =
-      static_cast<double>(row.edges) / row.parse_seconds;
-
-  const auto model = problems::maxcut_to_ising(graph);
-  const core::InSituConfig config;  // default device / mapping / variation
-  row.program_seconds = best_of_three_seconds([&] {
-    const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                                 config.mapping.bits);
-    const crossbar::CrossbarMapping mapping(
-        model.num_spins(), quantized.has_negative() ? 2 : 1, config.mapping);
-    const crossbar::ProgrammedArray array(quantized, mapping, config.device,
-                                          config.variation, 0x5eed);
-    checksum += array.device_params().vbg_max > 0.0;
-  });
-
-  // Cache-hit programming: the first get_or_build pays the cold build, the
-  // timed repeats measure the digest-keyed lookup a batch/serve workload
-  // sees on every repeated instance (includes re-hashing the couplings).
-  {
-    const crossbar::QuantizedCouplings quantized(model.couplings(),
-                                                 config.mapping.bits);
-    const crossbar::CrossbarMapping mapping(
-        model.num_spins(), quantized.has_negative() ? 2 : 1, config.mapping);
-    crossbar::ArrayCache cache;
-    cache.get_or_build(quantized, mapping, config.device, config.variation,
-                       0x5eed, {});
-    row.program_seconds_cached = best_of_three_seconds([&] {
-      const auto array = cache.get_or_build(quantized, mapping, config.device,
-                                            config.variation, 0x5eed, {});
-      checksum += array->device_params().vbg_max > 0.0;
-    });
-  }
-  if (checksum == 1) std::printf("(unreachable checksum)\n");
-  return row;
+Row sampler_row() {
+  const util::NoiseStream stream(99, util::stream_site::kReadoutNoise);
+  constexpr std::size_t kBatch = 1024;  // draws per operation
+  return {"sampler",
+          side([stream, draws = std::vector<double>(kBatch)](
+                   std::size_t op) mutable {
+            stream.normal_fill(op * kBatch, draws);
+            return draws.front() + draws.back();
+          }),
+          side([stream, draws = std::vector<double>(kBatch)](
+                   std::size_t op) mutable {
+            for (std::size_t i = 0; i < kBatch; ++i)
+              draws[i] = stream.normal(op * kBatch + i);
+            return draws.front() + draws.back();
+          })};
 }
 
-// ---------------------------------------------------------------------------
-// 5. Campaign wall-clock: optimized runner vs faithful legacy campaign.
-// ---------------------------------------------------------------------------
+Row lifecycle_row(const Inputs& in) {
+  auto config = in->config;
+  config.iterations = 5000;
+  const auto annealer =
+      std::make_shared<const core::InSituCimAnnealer>(in->model, config);
+  core::CancellationToken armed;
+  armed.set_run_deadline(core::CancellationToken::Clock::now() +
+                         std::chrono::hours(1));
+  constexpr std::uint64_t kSeed = 99;
+  const auto plain = annealer->run(kSeed);
+  const auto timed = annealer->run(kSeed, armed);
+  check(timed.best_spins == plain.best_spins &&
+            timed.best_energy == plain.best_energy &&
+            timed.final_spins == plain.final_spins &&
+            timed.accepted_moves == plain.accepted_moves,
+        "lifecycle: an armed deadline changed the run");
+  return {"lifecycle",
+          side([annealer, armed](std::size_t) {
+            return annealer->run(kSeed, armed).best_energy;
+          }),
+          side([annealer](std::size_t) {
+            return annealer->run(kSeed).best_energy;
+          })};
+}
 
-/// The seed fork-join helper: spawn `threads` std::threads per call, shared
-/// atomic claim counter (no pool, no early-stop).
-void legacy_parallel_for(std::size_t count,
-                         const std::function<void(std::size_t)>& body,
-                         std::size_t threads) {
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
-      body(i);
-    }
+Row program_cached_row(const Inputs& in) {
+  const auto cache = std::make_shared<crossbar::ArrayCache>();
+  const auto lookup = [in, cache] {
+    const auto& c = in->config;
+    return cache->get_or_build(in->quantized, in->mapping, c.device,
+                               c.variation, c.array_seed, {});
   };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
+  const auto first = lookup();
+  check(lookup() == first,
+        "program-cached: a cache hit did not return the first build");
+  return {"program-cached",
+          side([lookup](std::size_t) {
+            return lookup()->device_params().vbg_max;
+          }),
+          side([in](std::size_t) {
+            const auto& c = in->config;
+            const crossbar::ProgrammedArray array(in->quantized, in->mapping,
+                                                  c.device, c.variation,
+                                                  c.array_seed);
+            return array.device_params().vbg_max;
+          })};
 }
 
-/// The seed in-situ analog run loop: reference engine kernel, freshly
-/// allocated flip sets, delta_energy CSR row walks.
-double legacy_insitu_run(const ising::IsingModel& model,
-                         const AnalogWorkload& workload,
-                         const crossbar::AnalogCrossbarEngine& probe,
-                         double i_on_max, std::size_t iterations,
-                         std::uint64_t seed) {
-  util::Rng rng(seed);
-  auto noise = crossbar::ReadoutNoise::for_run(seed);
-  auto spins = ising::random_spins(model.num_spins(), rng);
-  double energy = model.energy(spins);
-  double best = energy;
-  const core::FractionalAcceptance acceptance;
-  for (std::size_t it = 0; it < iterations; ++it) {
-    const auto point = workload.schedule.at(it);
-    const auto flips = ising::random_flip_set(model.num_flippable(), 2, rng);
-    const auto evaluation = crossbar::reference::analog_evaluate(
-        *workload.array, probe.adc(), probe.band_attenuations(), i_on_max,
-        spins, flips, {point.factor, point.vbg}, noise);
-    if (acceptance.accept(4.0 * evaluation.e_inc, rng)) {
-      energy += model.delta_energy(spins, flips);
-      ising::flip_in_place(spins, flips);
-      if (energy < best) best = energy;
-    }
-  }
-  return best;
-}
-
-core::ProblemInstance campaign_instance(std::size_t n) {
-  return problems::make_maxcut_problem(
-      "hotpath-n" + std::to_string(n),
-      problems::random_graph(n, 24.0, problems::WeightScheme::kPlusMinusOne,
-                             3000 + n),
-      8, 3000 + n);
-}
-
-CampaignRow bench_campaign(std::size_t n, std::size_t runs,
-                           std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-
-  auto config = analog_config(/*noisy=*/false);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-  core::CampaignConfig campaign;
-  campaign.runs = runs;
-
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, campaign);
-    if (result.runs != runs) std::printf("(campaign run mismatch)\n");
-  });
-
-  {
-    auto workload =
-        make_analog_workload(*instance.model, iterations, /*noisy=*/false);
-    workload.array = annealer.array();  // identical programmed weights
-    const crossbar::AnalogCrossbarEngine probe(workload.array, config.analog);
-    const double i_on_max =
-        workload.array->on_current(workload.array->device_params().vbg_max);
-    util::Rng seeder(campaign.base_seed);
-    std::vector<std::uint64_t> seeds(runs);
-    for (auto& s : seeds) s = seeder();
-
-    row.legacy_seconds = best_of_three_seconds([&] {
-      util::RunningStats best;
-      std::mutex merge_mutex;  // the seed runner's serialization point
-      legacy_parallel_for(
-          runs,
-          [&](std::size_t run) {
-            const double b = legacy_insitu_run(*instance.model, workload,
-                                               probe, i_on_max, iterations,
-                                               seeds[run]);
-            const std::lock_guard<std::mutex> lock(merge_mutex);
-            best.add(b);
-          },
-          std::min<std::size_t>(row.threads, runs));
-      if (best.count() != runs) std::printf("(legacy run mismatch)\n");
-    });
-  }
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-/// Replica-parallel noisy-analog campaign: counter-keyed noise streams made
-/// parallel noisy evaluation legal (runs no longer serialize on one RNG), so
-/// the same run_campaign call scales across workers.  legacy_seconds holds
-/// the threads=1 wall time, optimized_seconds the all-cores wall time; on a
-/// single-core host the ratio degenerates to ~1.
-CampaignRow bench_noisy_campaign(std::size_t n, std::size_t runs,
-                                 std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-noisy";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-
-  auto config = analog_config(/*noisy=*/true);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-
-  core::CampaignConfig serial;
-  serial.runs = runs;
-  serial.threads = 1;
-  core::CampaignConfig parallel = serial;
-  parallel.threads = row.threads;
-
-  double serial_objective = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, serial);
-    serial_objective = result.objective.mean();
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, parallel);
-    // Replica parallelism must not change results (keyed noise streams).
-    if (result.objective.mean() != serial_objective)
-      std::printf("(noisy campaign thread-determinism mismatch)\n");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-/// Lifecycle-overhead row: the identical deterministic campaign with and
-/// without an active CancellationToken (a generous run deadline arms the
-/// amortized in-loop poll; the token-free run reduces it to one predictable
-/// branch per kCancellationCheckStride iterations).  The speedup is the
-/// no-token/with-token wall-clock ratio -- PERF.md pins it at ~1.0, i.e. the
-/// run lifecycle costs under a percent of campaign throughput, and the bench
-/// gate fails the build if token overhead ever grows past its tolerance.
-CampaignRow bench_lifecycle_campaign(std::size_t n, std::size_t runs,
-                                     std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-lifecycle";
-  row.runs = runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-
-  auto config = analog_config(/*noisy=*/false);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  const core::InSituCimAnnealer annealer(instance.model, config);
-
-  core::CampaignConfig plain;
-  plain.runs = runs;
-  core::CampaignConfig with_deadlines = plain;
-  with_deadlines.run_timeout_seconds = 3600.0;  // never trips; polls stay hot
-
-  double plain_energy = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, plain);
-    plain_energy = result.per_run.front().best_energy;
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(annealer, instance, with_deadlines);
-    // An untripped deadline must not perturb the run stream.
-    if (result.per_run.front().best_energy != plain_energy)
-      std::printf("(lifecycle campaign determinism mismatch)\n");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-/// Simulated-bifurcation campaign row (schema v7): the SB backend on the
-/// same analog array class, replica-parallel vs serial.  SB's dither stream
-/// is counter-keyed exactly like the readout noise, so parallel runs must be
-/// bit-identical to serial ones -- this row both tracks SB campaign
-/// wall-clock across PRs and asserts that thread-invariance on every bench
-/// run.  The step budget is scaled by 2/n so the row senses about as many
-/// columns as the in-situ campaign rows (one SB step = n field readouts).
-CampaignRow bench_sb_campaign(std::size_t n, std::size_t runs,
-                              std::size_t insitu_iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "sb-ballistic";
-  row.runs = runs;
-  row.iterations =
-      std::max<std::size_t>(10, insitu_iterations * 2 / n);
-  row.threads = util::worker_threads();
-
-  core::StandardSetup setup;
-  setup.iterations = row.iterations;
-  const auto annealer = core::make_annealer(core::AnnealerKind::kSbBallistic,
-                                            instance.model, setup);
-
-  core::CampaignConfig serial;
-  serial.runs = runs;
-  serial.threads = 1;
-  core::CampaignConfig parallel = serial;
-  parallel.threads = row.threads;
-
-  double serial_objective = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(*annealer, instance, serial);
-    serial_objective = result.objective.mean();
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    const auto result = core::run_campaign(*annealer, instance, parallel);
-    // Counter-keyed dither: replica parallelism must not change results.
-    if (result.objective.mean() != serial_objective)
-      std::printf("(sb campaign thread-determinism mismatch)\n");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-/// Amortized batch row: the identical short campaign constructed and run
-/// `repeats` times (one fresh annealer each, the way run_batch and the serve
-/// loop replay a repeated manifest entry).  optimized shares one
-/// digest-keyed array cache across the repeats -- the array programs once
-/// and every later annealer construction is a lookup; legacy programs a
-/// fresh array per construction (the pre-cache behavior).  The speedup is
-/// the amortization factor a duplicate-heavy batch/serve workload sees.
-CampaignRow bench_cached_batch_campaign(std::size_t n, std::size_t repeats,
-                                        std::size_t runs,
-                                        std::size_t iterations) {
-  const auto instance = campaign_instance(n);
-
-  CampaignRow row;
-  row.n = n;
-  row.kind = "analog-batch-cached";
-  row.runs = repeats * runs;
-  row.iterations = iterations;
-  row.threads = util::worker_threads();
-
-  auto config = analog_config(/*noisy=*/false);
-  config.iterations = iterations;
-  config.flips_per_iteration = 2;
-  config.flip_selection = core::InSituConfig::FlipSelection::kRandom;
-  core::CampaignConfig campaign;
-  campaign.runs = runs;
-
-  double objective_uncached = 0.0;
-  row.legacy_seconds = best_of_three_seconds([&] {
-    objective_uncached = 0.0;
-    for (std::size_t repeat = 0; repeat < repeats; ++repeat) {
-      const core::InSituCimAnnealer annealer(instance.model, config);
-      const auto result = core::run_campaign(annealer, instance, campaign);
-      objective_uncached += result.objective.mean();
-    }
-  });
-  row.optimized_seconds = best_of_three_seconds([&] {
-    // Fresh cache inside the timed region: the first repeat pays the cold
-    // build, so the row reports honest end-to-end amortization, not a
-    // warmed-up lower bound.
-    auto cached_config = config;
-    cached_config.array_cache = std::make_shared<crossbar::ArrayCache>();
-    double objective = 0.0;
-    for (std::size_t repeat = 0; repeat < repeats; ++repeat) {
-      const core::InSituCimAnnealer annealer(instance.model, cached_config);
-      const auto result = core::run_campaign(annealer, instance, campaign);
-      objective += result.objective.mean();
-    }
-    // Shared arrays must not perturb results (PERF.md invariants 1-2).
-    if (objective != objective_uncached)
-      std::printf("(cached batch determinism mismatch)\n");
-  });
-
-  row.speedup = row.legacy_seconds / row.optimized_seconds;
-  return row;
-}
-
-// ---------------------------------------------------------------------------
-
-void write_json(const std::string& path, const std::string& mode,
-                const SamplerRow& sampler, const IngestionRow& ingestion,
-                const std::vector<EngineRow>& engines,
-                const std::vector<CampaignRow>& campaigns) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v9\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", mode.c_str());
-  std::fprintf(f, "  \"hardware_threads\": %zu,\n", util::worker_threads());
-  std::fprintf(f,
-               "  \"sampler\": {\"normals_per_sec_ziggurat\": %.1f, "
-               "\"normals_per_sec_box_muller\": %.1f, \"speedup\": %.2f},\n",
-               sampler.ziggurat_per_sec, sampler.box_muller_per_sec,
-               sampler.speedup);
-  // Tracked for the perf trajectory, never gated (see tools/bench_gate.py).
-  std::fprintf(f,
-               "  \"ingestion\": {\"n\": %zu, \"edges\": %zu, "
-               "\"parse_seconds\": %.6f, \"program_seconds\": %.6f, "
-               "\"program_seconds_cached\": %.9f, "
-               "\"edges_per_sec_parse\": %.1f},\n",
-               ingestion.n, ingestion.edges, ingestion.parse_seconds,
-               ingestion.program_seconds, ingestion.program_seconds_cached,
-               ingestion.edges_per_sec_parse);
-  std::fprintf(f, "  \"engine_eval\": [\n");
-  for (std::size_t i = 0; i < engines.size(); ++i) {
-    const auto& row = engines[i];
-    std::fprintf(f,
-                 "    {\"n\": %zu, \"engine\": \"%s\", "
-                 "\"evals_per_sec_optimized\": %.1f, "
-                 "\"evals_per_sec_reference\": %.1f, \"speedup\": %.2f}%s\n",
-                 row.n, row.engine.c_str(), row.optimized_per_sec,
-                 row.reference_per_sec, row.speedup,
-                 i + 1 < engines.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"campaign\": [\n");
-  for (std::size_t i = 0; i < campaigns.size(); ++i) {
-    const auto& row = campaigns[i];
-    // %.6f: the smoke campaign completes in milliseconds, and the gate
-    // derives a throughput signal from this value -- %.3f quantization
-    // would inject up to +-50 % error into it.
-    std::fprintf(f,
-                 "    {\"n\": %zu, \"kind\": \"%s\", \"runs\": %zu, "
-                 "\"iterations\": %zu, "
-                 "\"threads\": %zu, "
-                 "\"wall_seconds_optimized\": %.6f, "
-                 "\"wall_seconds_legacy\": %.6f, \"speedup\": %.2f}%s\n",
-                 row.n, row.kind.c_str(), row.runs, row.iterations,
-                 row.threads, row.optimized_seconds,
-                 row.legacy_seconds, row.speedup,
-                 i + 1 < campaigns.size() ? "," : "");
+bool write_json(const char* path, const std::vector<Measured>& rows) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) return false;
+  std::fprintf(f, "{\n  \"schema\": \"fecim-bench-hotpath-v10\",\n");
+  std::fprintf(f, "  \"rows\": [\n");
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::fprintf(f, "    {\"name\": \"%s\", \"median_ratio\": %.3f, "
+                 "\"trial_ratios\": [",
+                 rows[r].name.c_str(), rows[r].median_ratio);
+    for (std::size_t t = 0; t < rows[r].trial_ratios.size(); ++t)
+      std::fprintf(f, "%s%.3f", t == 0 ? "" : ", ", rows[r].trial_ratios[t]);
+    std::fprintf(f, "]}%s\n", r + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+  return std::fclose(f) == 0;
 }
 
 }  // namespace
 
 int main() {
-  const bool smoke = util::env_flag("FECIM_BENCH_SMOKE", false);
-  const bool full = util::full_reproduction_mode();
-  bench::print_header("hot-path throughput: optimized kernels vs seed reference");
+  std::printf("hot-path ratios: optimized (A) over reference (B) throughput, "
+              "median of %d interleaved trials\n", kTrials);
+  const auto small = std::make_shared<const EngineInputs>(256);
+  const auto large = std::make_shared<const EngineInputs>(1024);
+  std::vector<Row> rows;
+  for (const auto& in : {small, large}) {
+    rows.push_back(sweep_row(in, {}));
+    rows.push_back(sweep_row(in, {in->n() / 4, 0}));
+  }
+  rows.push_back(ideal_row(large));
+  rows.push_back(sampler_row());
+  rows.push_back(lifecycle_row(small));
+  rows.push_back(program_cached_row(small));
+  const auto measured = measure(rows);
 
-  const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{256}
-            : std::vector<std::size_t>{256, 1024, 4096};
-  // Smoke needs enough iterations that even the slowest regime (noisy
-  // reference, iterations / 4) times a multi-millisecond region.
-  const std::size_t engine_iterations = smoke ? 8000 : (full ? 200000 : 50000);
-
-  const SamplerRow sampler = bench_sampler(smoke ? 2'000'000 : 20'000'000);
-  std::printf(
-      "normal sampler: ziggurat %.1f M/s vs Box-Muller %.1f M/s (%.2fx)\n",
-      sampler.ziggurat_per_sec / 1e6, sampler.box_muller_per_sec / 1e6,
-      sampler.speedup);
-
-  // Gset-scale ingestion: 20k edges in the tracked modes (the size class
-  // the acceptance criterion names), a smaller slice for smoke runs.
-  const IngestionRow ingestion =
-      smoke ? bench_ingestion(800, 12.0) : bench_ingestion(2000, 20.0);
-  std::printf(
-      "ingestion: n=%zu m=%zu parse %.3fs (%.0f edges/s), program %.3fs, "
-      "cached reprogram %.6fs (%.0fx)\n",
-      ingestion.n, ingestion.edges, ingestion.parse_seconds,
-      ingestion.edges_per_sec_parse, ingestion.program_seconds,
-      ingestion.program_seconds_cached,
-      ingestion.program_seconds / ingestion.program_seconds_cached);
-
-  util::Table table({"n", "engine", "opt evals/s", "ref evals/s", "speedup"});
-  std::vector<EngineRow> engines;
-  for (const auto n : sizes) {
-    engines.push_back(bench_analog_engine(n, engine_iterations, false));
-    engines.push_back(bench_analog_engine(n, engine_iterations / 4, true));
-    // Tile-partitioned noisy sweep: 4 row bands (n/4-row tiles) exercise
-    // the per-tile conversion walk the TilePlan execution model added --
-    // n=1024 is the tracked size class, the n=256 smoke row gives check.sh
-    // a baseline row to gate against.
-    engines.push_back(bench_analog_engine(n, engine_iterations / 4, true,
-                                          crossbar::TileShape{n / 4, 0}));
-    engines.push_back(bench_ideal_annealer(n, engine_iterations));
-    for (auto it = engines.end() - 4; it != engines.end(); ++it)
-      table.row()
-          .add(it->n)
-          .add(it->engine)
-          .add(it->optimized_per_sec, 0)
-          .add(it->reference_per_sec, 0)
-          .add(it->speedup, 2);
+  util::Table table({"row", "median A/B", "trials"});
+  for (const auto& row : measured) {
+    std::string trials;
+    for (const double ratio : row.trial_ratios) {
+      char cell[16];
+      std::snprintf(cell, sizeof cell, "%s%.2f", trials.empty() ? "" : " ",
+                    ratio);
+      trials += cell;
+    }
+    table.row().add(row.name).add(row.median_ratio, 2).add(trials);
   }
   std::printf("%s\n", table.str().c_str());
 
-  std::vector<CampaignRow> campaigns;
-  {
-    // n=256 rows run in every mode so the check.sh smoke pass always has a
-    // baseline row to gate against; non-smoke modes add the n=1024 rows.
-    const std::vector<std::size_t> campaign_sizes =
-        smoke ? std::vector<std::size_t>{256}
-              : std::vector<std::size_t>{256, 1024};
-    // The smoke campaign runs the same workload as the reduced-mode
-    // baseline row: an identical (runs, iterations) pair removes the
-    // amortization bias a shorter campaign would carry, and the tens of
-    // milliseconds it takes are what the gate's throughput signal needs to
-    // sit clear of timer noise.
-    const std::size_t runs = full ? 64 : 16;
-    const std::size_t iterations = full ? 20000 : 5000;
-    for (const auto n : campaign_sizes) {
-      campaigns.push_back(bench_campaign(n, runs, iterations));
-      campaigns.push_back(bench_noisy_campaign(n, runs, iterations / 4));
-      campaigns.push_back(bench_lifecycle_campaign(n, runs, iterations));
-      // Duplicate-heavy batch amortization: 6 repeats of a short campaign
-      // on one instance, shared cache vs per-construction programming.
-      campaigns.push_back(
-          bench_cached_batch_campaign(n, 6, 4, iterations / 4));
-      // SB dynamics on the same array class (schema v7): tracked campaign
-      // wall-clock plus a hard replica-determinism assertion per run.
-      campaigns.push_back(bench_sb_campaign(n, runs, iterations));
+  if (const char* out = std::getenv("FECIM_BENCH_OUT")) {
+    if (!write_json(out, measured)) {
+      std::fprintf(stderr, "bench_hotpath: cannot write %s\n", out);
+      return 1;
     }
-    for (const auto& row : campaigns) {
-      const char* reference_label = "legacy";
-      if (row.kind == "analog-noisy") reference_label = "serial";
-      if (row.kind == "sb-ballistic") reference_label = "serial";
-      if (row.kind == "analog-lifecycle") reference_label = "no-token";
-      if (row.kind == "analog-batch-cached") reference_label = "uncached";
-      std::printf(
-          "campaign n=%zu %s runs=%zu iters=%zu threads=%zu: "
-          "optimized %.3fs, %s %.3fs, speedup %.2fx\n",
-          row.n, row.kind.c_str(), row.runs, row.iterations, row.threads,
-          row.optimized_seconds, reference_label,
-          row.legacy_seconds, row.speedup);
-    }
+    std::printf("wrote %s\n", out);
   }
-
-  // Smoke runs never overwrite the tracked baseline, but an explicit
-  // FECIM_BENCH_OUT still captures their numbers (tools/check.sh compares
-  // the smoke speedups against BENCH_hotpath.json to gate regressions).
-  const char* out = std::getenv("FECIM_BENCH_OUT");
-  if (!smoke || out != nullptr) {
-    write_json(out != nullptr ? out : "BENCH_hotpath.json",
-               smoke ? "smoke" : (full ? "full" : "reduced"), sampler,
-               ingestion, engines, campaigns);
-  }
-  return 0;
+  return g_check_failed ? 1 : 0;
 }

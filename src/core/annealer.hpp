@@ -61,8 +61,8 @@ class Annealer {
   /// polls the token every kCancellationCheckStride iterations (including
   /// iteration 0) and aborts by throwing run_timeout_error /
   /// run_cancelled_error.  An inactive token must cost no more than one
-  /// predictable branch per stride (pinned by the "analog-lifecycle" bench
-  /// row).  Thread-safe.
+  /// predictable branch per stride, and an armed one little more (bounded
+  /// by the "lifecycle" row of bench_hotpath).  Thread-safe.
   virtual AnnealResult run(std::uint64_t seed,
                            const CancellationToken& token) const = 0;
 

@@ -100,8 +100,6 @@ class BifurcationAnnealer final : public Annealer {
   }
   const ising::IsingModel& model() const noexcept override { return *model_; }
 
-  /// Effective coupling strength (auto-calibrated when config.c0 == 0).
-  double coupling_strength() const noexcept { return c0_; }
   const SbSchedule& schedule() const noexcept { return schedule_; }
   /// Programmed array (null when running the ideal engine).
   std::shared_ptr<const crossbar::ProgrammedArray> array() const noexcept {

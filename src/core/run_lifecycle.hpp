@@ -17,7 +17,8 @@
 // kCancellationCheckStride iterations (a power of two, so the poll gate is
 // one mask + compare) and abort by throwing.  An inactive token (no deadline
 // set) reduces the poll to a single predictable branch -- the hot path stays
-// effectively zero-overhead, pinned by the "analog-lifecycle" bench row.
+// effectively zero-overhead, and the "lifecycle" row of bench_hotpath bounds
+// an armed token's cost against it.
 #pragma once
 
 #include <chrono>

@@ -15,10 +15,10 @@
 // Annealers opt into the local-field cache (enable_local_field_cache()):
 // evaluations then read cached h_eff values instead of walking CSR rows, at
 // the cost of a protocol -- the caller must report every applied flip set
-// through on_flips_applied() and invalidate_local_field_cache() whenever it
-// rewrites the configuration wholesale.  Callers that hand arbitrary spin
-// vectors to evaluate() (tests, benches) leave the cache off and get the
-// stateless row-walk path.
+// through on_flips_applied(), and a wholesale rewrite of the configuration
+// needs a fresh engine (the annealers build one per run).  Callers that
+// hand evaluate() unrelated spin vectors (tests) leave the cache off and
+// get the stateless row-walk path.
 #pragma once
 
 #include <vector>
@@ -59,10 +59,6 @@ class IdealCrossbarEngine final : public EincEngine {
     use_cache_ = true;
     cache_.reset();
   }
-  /// Drop the cached fields (e.g. after resetting spins to an earlier
-  /// configuration); the next evaluate() rebuilds them.
-  void invalidate_local_field_cache() { cache_.reset(); }
-  bool local_field_cache_enabled() const noexcept { return use_cache_; }
 
   std::size_t num_spins() const noexcept override {
     return model_->num_spins();

@@ -8,9 +8,9 @@
 // tile-aware conversion indexing on both sides -- flips, row band ascending,
 // polarity, bit, plane -- so results match bit-for-bit without any
 // draw-order coupling); tests/test_perf_equivalence.cpp and
-// tests/test_tiled_engine.cpp assert that contract and
-// bench/bench_hotpath.cpp measures the speedup against them.  They are
-// intentionally slow -- do not call them outside tests/benches.
+// tests/test_tiled_engine.cpp assert that contract, and the sweep and ideal
+// rows of bench/bench_hotpath.cpp time the optimized paths against them.
+// They are intentionally slow -- do not call them outside tests/benches.
 #pragma once
 
 #include <array>

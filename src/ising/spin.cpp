@@ -38,13 +38,6 @@ void flip_in_place(SpinVector& spins, std::span<const std::uint32_t> flips) {
   }
 }
 
-std::vector<double> to_double(std::span<const Spin> spins) {
-  std::vector<double> out(spins.size());
-  for (std::size_t i = 0; i < spins.size(); ++i)
-    out[i] = static_cast<double>(spins[i]);
-  return out;
-}
-
 std::size_t hamming_distance(std::span<const Spin> a,
                              std::span<const Spin> b) {
   FECIM_EXPECTS(a.size() == b.size());

@@ -29,9 +29,6 @@ SpinVector flipped_copy(std::span<const Spin> spins,
 /// In-place flip of the listed indices.
 void flip_in_place(SpinVector& spins, std::span<const std::uint32_t> flips);
 
-/// Widened copy for dense linear algebra.
-std::vector<double> to_double(std::span<const Spin> spins);
-
 /// Hamming distance between two configurations of equal length.
 std::size_t hamming_distance(std::span<const Spin> a, std::span<const Spin> b);
 

@@ -68,27 +68,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   return lo + static_cast<std::int64_t>(uniform_index(span));
 }
 
-double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u1 = 0.0;
-  do {
-    u1 = uniform01();
-  } while (u1 <= 0.0);
-  const double u2 = uniform01();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * M_PI * u2;
-  cached_normal_ = radius * std::sin(angle);
-  has_cached_normal_ = true;
-  return radius * std::cos(angle);
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
 bool Rng::bernoulli(double p) noexcept { return uniform01() < p; }
 
 std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,

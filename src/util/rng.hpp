@@ -56,12 +56,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
-  /// Standard normal via Box–Muller (cached pair).
-  double normal() noexcept;
-
-  /// Normal with the given mean and standard deviation.
-  double normal(double mean, double stddev) noexcept;
-
   /// Bernoulli trial.
   bool bernoulli(double p) noexcept;
 
@@ -86,8 +80,6 @@ class Rng {
   result_type next() noexcept;
 
   std::array<std::uint64_t, 4> state_{};
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -128,8 +120,8 @@ inline constexpr std::uint64_t kSbDither = 0x06;
 /// samplers (ziggurat wedges/tail) keep index i fully independent of index j.
 ///
 /// The standard-normal sampler is a 128-layer ziggurat: ~1 counter hash plus
-/// one table compare on the ~98.8% fast path, which is what unblocks the
-/// noisy-analog hot path from the sequential Box-Muller in Rng::normal().
+/// one table compare on the ~98.8% fast path, which is what unblocked the
+/// noisy-analog hot path from the sequential Box-Muller sampler it replaced.
 /// `normal_fill` batches draws of consecutive indices; the iterations are
 /// independent, so the loop pipelines instead of serializing on RNG state.
 class NoiseStream {

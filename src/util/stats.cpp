@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -65,51 +64,6 @@ double percentile(std::vector<double> values, double p) {
 
 double median(std::vector<double> values) {
   return percentile(std::move(values), 50.0);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  FECIM_EXPECTS(hi > lo);
-  FECIM_EXPECTS(bins > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  FECIM_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  FECIM_EXPECTS(bin < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1 - 1) +
-      (hi_ - lo_) / static_cast<double>(counts_.size()); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[b]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    out << "[" << bin_lo(b) << ", " << bin_hi(b) << ") ";
-    for (std::size_t i = 0; i < bar; ++i) out << '#';
-    out << ' ' << counts_[b] << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace fecim::util

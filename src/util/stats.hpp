@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace fecim::util {
@@ -38,28 +37,5 @@ double percentile(std::vector<double> values, double p);
 
 /// Median convenience wrapper.
 double median(std::vector<double> values);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bin so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  /// Compact ASCII rendering (one line per bin), used by example binaries.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace fecim::util

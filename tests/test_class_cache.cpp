@@ -294,7 +294,9 @@ void expect_lean_matches_full(const ising::IsingModel& model, int bits,
                               const crossbar::TileShape& tiles) {
   const auto full = program(model, bits, 0.0, tiles);
   const auto lean = program(model, bits, 0.02, tiles);
-  if (!tiles.monolithic()) ASSERT_GT(lean->num_bands(), 1u);
+  if (!tiles.monolithic()) {
+    ASSERT_GT(lean->num_bands(), 1u);
+  }
 
   // Read noise never enters programming.
   expect_same_sweep_metadata(*lean, *full);

@@ -75,8 +75,12 @@ void expect_results_equal(const core::CampaignResult& a,
     EXPECT_EQ(a.objective.max(), b.objective.max());
   }
   EXPECT_EQ(a.energy.count(), b.energy.count());
-  if (!a.energy.empty()) EXPECT_EQ(a.energy.mean(), b.energy.mean());
-  if (!a.time.empty()) EXPECT_EQ(a.time.mean(), b.time.mean());
+  if (!a.energy.empty()) {
+    EXPECT_EQ(a.energy.mean(), b.energy.mean());
+  }
+  if (!a.time.empty()) {
+    EXPECT_EQ(a.time.mean(), b.time.mean());
+  }
   EXPECT_EQ(a.total_ledger.iterations, b.total_ledger.iterations);
   EXPECT_EQ(a.total_ledger.adc_conversions, b.total_ledger.adc_conversions);
   EXPECT_EQ(a.total_ledger.spin_updates, b.total_ledger.spin_updates);
@@ -234,6 +238,31 @@ TEST(FaultTolerance, InjectedHangTripsRunDeadline) {
   const auto retried = core::run_campaign(*annealer, problem, with_retry);
   EXPECT_EQ(retried.per_run[1].status, core::RunStatus::kTimedOut);
   EXPECT_EQ(retried.per_run[1].attempt, 0u);
+}
+
+TEST(FaultTolerance, ArmedDeadlineLeavesRunsBitIdentical) {
+  // Deadlines that never fire arm the in-loop poll; the runs must match
+  // their token-free twins bit for bit, for the noisy in-situ loop and for
+  // simulated bifurcation.  Both budgets span more than one poll stride.
+  const auto problem = test_problem();
+  core::StandardSetup sb_setup;
+  sb_setup.iterations = 1100;
+  const auto insitu = test_annealer(problem, 3000);
+  const auto sb = core::make_annealer(core::AnnealerKind::kSbBallistic,
+                                      problem.model, sb_setup);
+
+  core::CampaignConfig plain;
+  plain.runs = 3;
+  core::CampaignConfig armed = plain;
+  armed.run_timeout_seconds = 3600.0;
+  armed.time_limit_seconds = 3600.0;
+  for (const core::Annealer* annealer : {insitu.get(), sb.get()}) {
+    SCOPED_TRACE(std::string(annealer->name()));
+    const auto reference = core::run_campaign(*annealer, problem, plain);
+    ASSERT_EQ(reference.completed, plain.runs);
+    expect_results_equal(reference,
+                         core::run_campaign(*annealer, problem, armed));
+  }
 }
 
 TEST(FaultTolerance, CampaignTimeLimitCancelsEverything) {

@@ -4,12 +4,14 @@
 #      benches, examples, tools),
 #   2. run the test suite -- the tier-1 fast loop (ctest -L tier1) by
 #      default, every label (tier1 + differential + slow) under --full,
-#   3. smoke-run the hot-path benchmark and gate its speedups against the
-#      tracked baseline in BENCH_hotpath.json (tools/bench_gate.py; >10%
-#      regressions on both signals fail, FECIM_BENCH_TOLERANCE overrides;
-#      campaign rows and the tiled analog-noisy row are gated alongside the
-#      engine rows), and run the end-to-end benchmark's arithmetic
-#      self-tests (fecimbench/selftest.py),
+#   3. run the hot-path benchmark (bench/bench_hotpath.cpp: every row is
+#      the median of interleaved optimized/reference throughput ratios) and
+#      gate it against the tracked baseline in BENCH_hotpath.json
+#      (tools/bench_gate.py fails a row below 0.85x its baseline median);
+#      then prove the gate can fail -- the run gated against itself must
+#      pass, and a copy with the `sweep n=256` median cut by 20 % must
+#      fail -- and run the end-to-end benchmark's arithmetic self-tests
+#      (fecimbench/selftest.py),
 #   4. smoke-run the quickstart example and fecim_solve on every COP family
 #      (maxcut, coloring, knapsack, partition, tsp, qubo), both generated
 #      and file-backed (examples/data/ fixtures, one per file format,
@@ -35,13 +37,12 @@
 # programming variation) that test_setup_parallel drives above their size
 # gates.
 #
-# Usage: tools/check.sh [--full] [--full-bench] [--sanitize] [--tsan]
+# BENCH_hotpath.json itself is regenerated from five bench runs, never from
+# this script's single run (README.md, "Build and test").
+#
+# Usage: tools/check.sh [--full] [--sanitize] [--tsan]
 #   --full         run the complete ctest suite (every label) instead of
-#                  the tier-1 fast loop; implied by --full-bench.
-#   --full-bench   run the complete suite, then additionally run
-#                  bench_hotpath at its full sizes, rewriting
-#                  BENCH_hotpath.json in the repo root (do this when a PR
-#                  intentionally moves hot-path performance).
+#                  the tier-1 fast loop.
 #   --sanitize     build the asan-ubsan preset (address + undefined-behavior
 #                  sanitizers, no recovery) and run the whole suite under it
 #                  -- including the randomized engine-vs-reference
@@ -58,13 +59,11 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "${repo_root}"
 
 full=0
-full_bench=0
 sanitize=0
 tsan=0
 for arg in "$@"; do
   case "${arg}" in
     --full) full=1 ;;
-    --full-bench) full_bench=1; full=1 ;;
     --sanitize) sanitize=1 ;;
     --tsan) tsan=1 ;;
     *) echo "unknown argument: ${arg}" >&2; exit 2 ;;
@@ -102,18 +101,37 @@ if [[ "${full}" == 1 ]]; then
   ctest --test-dir build --output-on-failure -j"$(nproc)"
 else
   # Fast edit loop: the tier-1 invariant suite only.  The differential and
-  # slow labels run under --full / --full-bench / --sanitize.
+  # slow labels run under --full / --sanitize.
   ctest --test-dir build --output-on-failure -j"$(nproc)" -L tier1 \
     --no-tests=error
 fi
 
-# Smoke configuration: smallest size, few iterations; the JSON goes to the
-# build tree (never the tracked baseline) for the regression gate.
-smoke_json="build/bench_smoke.json"
-FECIM_BENCH_SMOKE=1 FECIM_BENCH_OUT="${smoke_json}" ./build/bench/bench_hotpath
+# The run's JSON goes to the build tree, never over the tracked baseline.
+bench_json="build/bench_hotpath.json"
+cut_json="build/bench_hotpath_cut.json"
+FECIM_BENCH_OUT="${bench_json}" ./build/bench/bench_hotpath
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 tools/bench_gate.py BENCH_hotpath.json "${smoke_json}"
+  python3 tools/bench_gate.py BENCH_hotpath.json "${bench_json}"
+  python3 tools/bench_gate.py "${bench_json}" "${bench_json}" >/dev/null \
+    || { echo "check.sh: bench_gate failed a run against itself" >&2; exit 1; }
+  python3 - "${bench_json}" "${cut_json}" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    run = json.load(f)
+for row in run["rows"]:
+    if row["name"] == "sweep n=256":
+        row["median_ratio"] *= 0.8
+with open(sys.argv[2], "w") as f:
+    json.dump(run, f)
+EOF
+  status=0
+  python3 tools/bench_gate.py "${bench_json}" "${cut_json}" >/dev/null 2>&1 \
+    || status=$?
+  if [[ "${status}" != 1 ]]; then
+    echo "check.sh: bench_gate exited ${status} on a row cut by 20 %" >&2
+    exit 1
+  fi
   # The end-to-end benchmark's self-tests (fecimbench/metrics.py: the
   # percentile, span self-time and metric arithmetic); pure Python, well
   # under a second.  -B keeps the benchmark directory free of bytecode.
@@ -285,9 +303,5 @@ for family in maxcut coloring knapsack partition tsp qubo; do
     || { echo "check.sh: --init greedy failed for ${family}" >&2; exit 1; }
 done
 echo "check.sh: warm-start smoke OK"
-
-if [[ "${full_bench}" == 1 ]]; then
-  ./build/bench/bench_hotpath
-fi
 
 echo "check.sh: OK"
