@@ -54,9 +54,12 @@ ising::IsingModel maxcut_to_ising(const Graph& graph) {
 
 double cut_value(const Graph& graph, std::span<const ising::Spin> spins) {
   FECIM_EXPECTS(spins.size() == graph.num_vertices());
+  // Adding +0 for an uncut edge is the same sum as skipping it: `cut`
+  // starts at +0, so it is never -0, and x + (+0) is x itself for every x
+  // but -0.
   double cut = 0.0;
   for (const auto& e : graph.edges())
-    if (spins[e.u] != spins[e.v]) cut += e.weight;
+    cut += spins[e.u] != spins[e.v] ? e.weight : 0.0;
   return cut;
 }
 
@@ -82,19 +85,28 @@ ExactCut brute_force_max_cut(const Graph& graph) {
   return best;
 }
 
-double local_search_1opt(const Graph& graph, ising::SpinVector& spins,
-                         std::size_t max_passes) {
+namespace {
+
+/// The first-improvement descent behind local_search_1opt.  Leaves in
+/// `gain[v]` the cut increase from flipping v at the final `spins`.
+void descend_1opt(const Graph& graph, ising::SpinVector& spins,
+                  std::size_t max_passes, std::vector<double>& gain) {
   const std::size_t n = graph.num_vertices();
   FECIM_EXPECTS(spins.size() == n);
 
-  // gain[v] = cut increase from flipping v
-  //         = sum_{u ~ v} w_uv * (same_side ? +1 : -1).
-  std::vector<double> gain(n, 0.0);
-  for (const auto& e : graph.edges()) {
-    const double signed_w =
-        spins[e.u] == spins[e.v] ? e.weight : -e.weight;
-    gain[e.u] += signed_w;
-    gain[e.v] += signed_w;
+  // gain[v] = sum_{u ~ v} w_uv * (same_side ? +1 : -1), summed along v's
+  // adjacency row.  The row lists v's edges in edge-list order, so this
+  // adds the same terms in the same order as a scatter over the edge list;
+  // and w * (s_v * s_u) is exactly the select s_u == s_v ? w : -w.
+  gain.resize(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const auto nbrs = graph.neighbors(v);
+    const auto weights = graph.neighbor_weights(v);
+    const int s_v = spins[v];
+    double sum = 0.0;
+    for (std::size_t k = 0; k < nbrs.size(); ++k)
+      sum += weights[k] * static_cast<double>(s_v * spins[nbrs[k]]);
+    gain[v] = sum;
   }
 
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
@@ -106,14 +118,50 @@ double local_search_1opt(const Graph& graph, ising::SpinVector& spins,
       gain[v] = -gain[v];
       const auto nbrs = graph.neighbors(v);
       const auto weights = graph.neighbor_weights(v);
+      const double two_s_v = 2.0 * static_cast<double>(spins[v]);
+      // Edge u-v changed sides: the u gain shifts by +-2w, +2w when u is now
+      // on v's side -- the product's sign, with no data-dependent branch.
       for (std::size_t k = 0; k < nbrs.size(); ++k) {
         const auto u = nbrs[k];
-        // Edge u-v changed sides: the u gain shifts by +-2w.
-        gain[u] += spins[u] == spins[v] ? 2.0 * weights[k] : -2.0 * weights[k];
+        gain[u] += (two_s_v * weights[k]) * static_cast<double>(spins[u]);
       }
     }
     if (!improved) break;
   }
+}
+
+/// True when every weight is an integer and m * max|w| <= 2^51; NaN and
+/// +-inf fail.  On such a graph every gain, every partial sum of gains and
+/// of weights, and sum_v |gain_v| <= 2 sum_e |w_e| <= 2^52 is an integer
+/// below 2^53, hence an exact double, and so is every cut: see
+/// cut_from_gains.
+bool has_exact_integer_weights(const Graph& graph) {
+  double max_abs = 0.0;
+  for (const auto& e : graph.edges()) {
+    if (!(std::trunc(e.weight) == e.weight)) return false;
+    max_abs = std::max(max_abs, std::fabs(e.weight));
+  }
+  return static_cast<double>(graph.num_edges()) * max_abs <= 0x1p51;
+}
+
+/// The cut of a descent's final spins from its final gains in O(n), for a
+/// graph that has_exact_integer_weights.  sum_v gain_v counts every edge
+/// from both ends, so it is 2 E with E = sum_e w_e s_u s_v, and
+/// cut = (W - E) / 2.  Every operand and result is exact, so this is the
+/// same double as cut_value's edge-order sum (an exact zero is +0 on both
+/// sides), and the gains may be summed in any order.
+double cut_from_gains(double total_weight, std::span<const double> gain) {
+  double twice_energy = 0.0;
+  for (const double g : gain) twice_energy += g;
+  return (total_weight - 0.5 * twice_energy) / 2.0;
+}
+
+}  // namespace
+
+double local_search_1opt(const Graph& graph, ising::SpinVector& spins,
+                         std::size_t max_passes) {
+  std::vector<double> gain;
+  descend_1opt(graph, spins, max_passes, gain);
   return cut_value(graph, spins);
 }
 
@@ -127,7 +175,8 @@ double reference_cut(const Graph& graph, std::size_t restarts,
       all_positive = false;
       break;
     }
-  if (all_positive && graph.is_bipartite()) return graph.total_weight();
+  const double total_weight = graph.total_weight();
+  if (all_positive && graph.is_bipartite()) return total_weight;
 
   FECIM_EXPECTS(restarts > 0);
   // Every start is drawn from the one sequential Rng up front, in restart
@@ -139,9 +188,15 @@ double reference_cut(const Graph& graph, std::size_t restarts,
   std::vector<ising::SpinVector> starts(restarts);
   for (auto& spins : starts)
     spins = ising::random_spins(graph.num_vertices(), rng);
+  // Decided once per call: the O(n) final cut where it is exact, the
+  // edge-order sum otherwise.
+  const bool exact = has_exact_integer_weights(graph);
   std::vector<double> cuts(restarts);
   const auto descend = [&](std::size_t r) {
-    cuts[r] = local_search_1opt(graph, starts[r]);
+    std::vector<double> gain;
+    descend_1opt(graph, starts[r], kLocalSearchMaxPasses, gain);
+    cuts[r] = exact ? cut_from_gains(total_weight, gain)
+                    : cut_value(graph, starts[r]);
   };
   if (graph.num_edges() * restarts < kReferenceParallelEdgeRestarts) {
     for (std::size_t r = 0; r < restarts; ++r) descend(r);

@@ -31,11 +31,16 @@ struct ExactCut {
 };
 ExactCut brute_force_max_cut(const Graph& graph);
 
-/// Single-flip steepest-descent local search on the cut objective; improves
-/// `spins` in place until 1-opt locality, returns the final cut value.
+/// Passes local_search_1opt makes at most, unless told otherwise.
+inline constexpr std::size_t kLocalSearchMaxPasses = 200;
+
+/// Single-flip first-improvement local search on the cut objective: each
+/// pass flips, in index order, every vertex whose gain is positive at its
+/// turn, until a pass flips none (1-opt locality) or `max_passes` passes
+/// ran.  Improves `spins` in place and returns the final cut value.
 /// O(iterations * degree) via incremental gain maintenance.
 double local_search_1opt(const Graph& graph, ising::SpinVector& spins,
-                         std::size_t max_passes = 200);
+                         std::size_t max_passes = kLocalSearchMaxPasses);
 
 /// reference_cut runs its descents on the util::parallel_for pool from this
 /// many edge-restarts (num_edges * restarts) up, and inline below it: a pool
@@ -48,7 +53,11 @@ inline constexpr std::size_t kReferenceParallelEdgeRestarts =
 /// Best-known cut proxy for instances too large to solve exactly: the best
 /// of `restarts` random-start 1-opt descents, or the certified optimum for
 /// bipartite unit-weight graphs (toroidal family) where max cut == |E|.
-/// The result is identical for every thread count.
+/// On a graph whose weights are all integers with m * max|w| <= 2^51
+/// (every generator's, and the Gset collection's) each descent's final cut is
+/// read from its gains in O(n) instead of summed over the m edges; all
+/// values involved are exact doubles, so it is the same double.  The
+/// result is identical for every thread count.
 double reference_cut(const Graph& graph, std::size_t restarts,
                      std::uint64_t seed);
 

@@ -49,8 +49,10 @@ QuboInstance random_qubo(std::size_t variables, double avg_degree,
                          std::uint64_t seed);
 
 /// Best-known reference objective: the best of `restarts` random-start
-/// single-flip steepest descents on H (sense-aware).  The same 1-opt
-/// multi-restart proxy reference_cut() provides for Max-Cut.
+/// single-flip first-improvement descents on H (sense-aware: each pass
+/// flips, in index order, every variable whose flip improves H at its
+/// turn).  The same 1-opt multi-restart proxy reference_cut() provides for
+/// Max-Cut.
 double qubo_reference_value(const ising::QuboModel& model, bool maximize,
                             std::size_t restarts, std::uint64_t seed);
 

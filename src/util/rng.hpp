@@ -59,8 +59,10 @@ class Rng {
   /// Bernoulli trial.
   bool bernoulli(double p) noexcept;
 
-  /// Random spin value, -1 or +1 with equal probability.
-  int spin() noexcept { return bernoulli(0.5) ? 1 : -1; }
+  /// Random spin value, -1 or +1 with equal probability: the value of
+  /// bernoulli(0.5) ? 1 : -1 on the same draw, read from one bit --
+  /// uniform01() < 0.5 holds exactly when bit 63 of the draw is clear.
+  int spin() noexcept { return 1 - 2 * static_cast<int>(next() >> 63); }
 
   /// k distinct indices sampled uniformly from [0, n); k <= n.
   /// Uses Floyd's algorithm; result is unsorted.

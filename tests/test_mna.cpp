@@ -168,11 +168,12 @@ TEST(Mna, RandomLaddersMatchDenseElimination) {
     for (std::size_t k = 0; k < n; ++k)
       EXPECT_LE(std::fabs(voltages[k] - reference[k]), 1e-12 * scale)
           << "n=" << n << " k=" << k;
-    if (scale > 0.0)
+    if (scale > 0.0) {
       EXPECT_LE(relative_error(sense_column_current(currents, v_drive, r),
                                reference.back() / r),
                 1e-12)
           << "n=" << n;
+    }
   }
 }
 

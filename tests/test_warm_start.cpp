@@ -127,7 +127,9 @@ TEST(WarmStart, EveryBuiltInFamilyExposesADecodableWarmStart) {
     // The constructive heuristics build feasible configurations for every
     // family except coloring, where DSatur clamped to a fixed palette may
     // accept conflicts the annealer then repairs.
-    if (problem.family != "coloring") EXPECT_TRUE(solution.feasible);
+    if (problem.family != "coloring") {
+      EXPECT_TRUE(solution.feasible);
+    }
   }
 }
 
