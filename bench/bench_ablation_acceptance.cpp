@@ -12,9 +12,9 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/annealer_factory.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
-#include "core/mesa.hpp"
 
 using namespace fecim;
 
@@ -53,10 +53,11 @@ int main() {
     report("exponential (budget-normalized)",
            core::DirectEAnnealer(instance.model, exponential));
 
-    core::MesaConfig mesa;
-    mesa.base.iterations = group.iterations;
-    mesa.base.schedule_kind = core::ClassicSchedule::Kind::kGeometric;
-    report("MESA [7]", core::MesaAnnealer(instance.model, mesa));
+    core::StandardSetup mesa;
+    mesa.iterations = group.iterations;
+    report("MESA [7]",
+           *core::make_annealer(core::AnnealerKind::kMesa, instance.model,
+                                mesa));
   }
   std::printf("%s", table.str().c_str());
   std::printf("\nnote: the literal V_BG direction (0.7 -> 0 V) makes the "

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "core/run_lifecycle.hpp"
@@ -68,8 +67,6 @@ class Annealer {
 
   /// Exponential-unit hardware this annealer carries (for cost translation).
   virtual cost::ExpUnit exp_unit() const noexcept = 0;
-
-  virtual std::string_view name() const noexcept = 0;
 
   virtual const ising::IsingModel& model() const noexcept = 0;
 };

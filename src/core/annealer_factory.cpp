@@ -2,7 +2,6 @@
 
 #include "core/bifurcation_annealer.hpp"
 #include "core/direct_annealer.hpp"
-#include "core/mesa.hpp"
 #include "util/assert.hpp"
 
 namespace fecim::core {
@@ -35,33 +34,28 @@ std::unique_ptr<Annealer> make_annealer(
                                                  std::move(config));
     }
     case AnnealerKind::kCimFpga:
-    case AnnealerKind::kCimAsic: {
+    case AnnealerKind::kCimAsic:
+    case AnnealerKind::kMesa: {
       DirectEConfig config;
       config.iterations = setup.iterations;
       config.flips_per_iteration = setup.baseline_flips;
       config.mapping = mapping;
       config.tiles = setup.tiles;
-      config.exp_unit = kind == AnnealerKind::kCimFpga ? cost::ExpUnit::kFpga
-                                                       : cost::ExpUnit::kAsic;
+      config.exp_unit = kind == AnnealerKind::kCimAsic ? cost::ExpUnit::kAsic
+                                                       : cost::ExpUnit::kFpga;
       config.initial_spins = setup.initial_spins;
-      config.trace = setup.trace;
+      if (kind == AnnealerKind::kMesa) {
+        // MESA [7]: four epochs, each re-laddering a budget-normalized
+        // schedule from the best configuration so far.  Its exp unit fires
+        // only on uphill moves, and it records no trajectory.
+        config.epochs = 4;
+        config.schedule_kind = ClassicSchedule::Kind::kGeometric;
+        config.pipelined_exp_unit = false;
+      } else {
+        config.trace = setup.trace;
+      }
       return std::make_unique<DirectEAnnealer>(std::move(model),
                                                std::move(config));
-    }
-    case AnnealerKind::kMesa: {
-      MesaConfig config;
-      config.base.iterations = setup.iterations;
-      config.base.flips_per_iteration = setup.baseline_flips;
-      config.base.mapping = mapping;
-      config.base.tiles = setup.tiles;
-      config.base.exp_unit = cost::ExpUnit::kFpga;
-      // MESA re-ladders the temperature per epoch; use the budget-normalized
-      // schedule within each epoch.
-      config.base.schedule_kind = ClassicSchedule::Kind::kGeometric;
-      config.base.initial_spins = setup.initial_spins;
-      config.base.trace = setup.trace;
-      return std::make_unique<MesaAnnealer>(std::move(model),
-                                            std::move(config));
     }
     case AnnealerKind::kSbBallistic:
     case AnnealerKind::kSbDiscrete: {

@@ -94,10 +94,6 @@ class BifurcationAnnealer final : public Annealer {
   cost::ExpUnit exp_unit() const noexcept override {
     return cost::ExpUnit::kNone;  // no Metropolis test anywhere in SB
   }
-  std::string_view name() const noexcept override {
-    return config_.variant == SbVariant::kBallistic ? "sb-ballistic"
-                                                    : "sb-discrete";
-  }
   const ising::IsingModel& model() const noexcept override { return *model_; }
 
   const SbSchedule& schedule() const noexcept { return schedule_; }

@@ -1,5 +1,6 @@
 #include "core/direct_annealer.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/acceptance.hpp"
@@ -12,6 +13,9 @@
 namespace fecim::core {
 
 namespace {
+
+/// Start-temperature factor from one epoch to the next (MESA [7]).
+constexpr double kEpochTemperatureDecay = 0.5;
 
 /// Mean |dE| of random moves from random states: the conventional SA
 /// starting-temperature scale (initial uphill acceptance ~ e^-1/3 with
@@ -45,6 +49,7 @@ DirectEAnnealer::DirectEAnnealer(std::shared_ptr<const ising::IsingModel> model,
                    : 1,
                config_.mapping) {
   FECIM_EXPECTS(model_ != nullptr);
+  FECIM_EXPECTS(config_.epochs >= 1);
   FECIM_EXPECTS(config_.flips_per_iteration >= 1);
   FECIM_EXPECTS(config_.flips_per_iteration <= model_->num_flippable());
   FECIM_EXPECTS(config_.t_end_fraction > 0.0 && config_.t_end_fraction <= 1.0);
@@ -63,9 +68,6 @@ AnnealResult DirectEAnnealer::run(std::uint64_t seed,
   // engine serves each evaluation from its local-field cache instead of
   // re-walking CSR rows.
   engine.enable_local_field_cache();
-  const ClassicSchedule schedule({t_start_, t_start_ * config_.t_end_fraction,
-                                  config_.iterations, config_.schedule_kind,
-                                  config_.decay_per_iteration});
 
   RunDriver driver(*model_, seed, token,
                    {config_.iterations, config_.trace,
@@ -80,33 +82,58 @@ AnnealResult DirectEAnnealer::run(std::uint64_t seed,
   ising::FlipSet flips;
   flips.reserve(config_.flips_per_iteration);
 
-  for (std::size_t it = 0; it < config_.iterations; ++it) {
-    driver.poll(it);
-    const double temperature = schedule.temperature(it);
-    ising::random_flip_set_into(flips, model_->num_flippable(),
-                                config_.flips_per_iteration, rng);
+  // At most one epoch per iteration; a zero budget still builds the first
+  // epoch's schedule, whose contract rejects it.
+  const std::size_t epochs =
+      std::max<std::size_t>(1, std::min(config_.epochs, config_.iterations));
+  // `it` counts across epochs, so polling and tracing see one run.
+  std::uint64_t it = 0;
 
-    // The hardware computes E_new via the full-array VMV; dE follows
-    // digitally.  Numerically dE = 4 sigma_r^T J sigma_c (+ field terms).
-    const auto evaluation = engine.evaluate(spins, flips, {1.0, 0.0});
-    crossbar::merge_trace(driver.result.ledger, evaluation.trace);
-    ++driver.result.ledger.iterations;
-    double delta_e = 4.0 * evaluation.raw_vmv;
-    for (const auto i : flips)
-      delta_e += -2.0 * model_->fields()[i] * static_cast<double>(spins[i]);
-
-    const auto decision = acceptance.accept(delta_e, temperature, rng);
-    if (config_.pipelined_exp_unit || decision.exp_evaluated)
-      ++driver.result.ledger.exp_evaluations;
-    if (decision.accepted) {
-      driver.energy += delta_e;
-      ising::flip_in_place(spins, flips);
-      engine.on_flips_applied(spins, flips);
-      driver.count_accept(flips.size(), delta_e > 0.0);
-      driver.track_best();
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+    if (epoch > 0) {
+      // Restart from the incumbent.  Rewriting the spins wholesale
+      // invalidates the local fields; re-enabling the cache resets them.
+      spins = driver.result.best_spins;
+      driver.energy = driver.result.best_energy;
+      engine.enable_local_field_cache();
     }
+    const std::size_t length = config_.iterations / epochs +
+                               (epoch < config_.iterations % epochs ? 1 : 0);
+    const double t_start =
+        t_start_ *
+        std::pow(kEpochTemperatureDecay, static_cast<double>(epoch));
+    const ClassicSchedule schedule({t_start, t_start * config_.t_end_fraction,
+                                    length, config_.schedule_kind,
+                                    config_.decay_per_iteration});
 
-    driver.record(it, temperature);
+    for (std::size_t step = 0; step < length; ++step, ++it) {
+      driver.poll(it);
+      const double temperature = schedule.temperature(step);
+      ising::random_flip_set_into(flips, model_->num_flippable(),
+                                  config_.flips_per_iteration, rng);
+
+      // The hardware computes E_new via the full-array VMV; dE follows
+      // digitally.  Numerically dE = 4 sigma_r^T J sigma_c (+ field terms).
+      const auto evaluation = engine.evaluate(spins, flips, {1.0, 0.0});
+      crossbar::merge_trace(driver.result.ledger, evaluation.trace);
+      ++driver.result.ledger.iterations;
+      double delta_e = 4.0 * evaluation.raw_vmv;
+      for (const auto i : flips)
+        delta_e += -2.0 * model_->fields()[i] * static_cast<double>(spins[i]);
+
+      const auto decision = acceptance.accept(delta_e, temperature, rng);
+      if (config_.pipelined_exp_unit || decision.exp_evaluated)
+        ++driver.result.ledger.exp_evaluations;
+      if (decision.accepted) {
+        driver.energy += delta_e;
+        ising::flip_in_place(spins, flips);
+        engine.on_flips_applied(spins, flips);
+        driver.count_accept(flips.size(), delta_e > 0.0);
+        driver.track_best();
+      }
+
+      driver.record(it, temperature);
+    }
   }
 
   return driver.finish();

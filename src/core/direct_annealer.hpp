@@ -1,11 +1,14 @@
-// Direct-E baseline annealers (CiM/FPGA and CiM/ASIC [7, 18]).
+// Direct-E baseline annealers (CiM/FPGA, CiM/ASIC and MESA [7, 18]).
 //
 // Classic simulated annealing: per iteration a random flip set is proposed,
 // the new energy is obtained through a full-array VMV multiplication
 // (O(n^2) product terms -- every column sensed), dE is formed digitally,
 // and uphill moves invoke the exponential unit for the Metropolis test.
-// The two baseline variants differ only in the e^x hardware (FPGA vs ASIC),
-// i.e. in cost translation, so one class covers both.
+// The FPGA and ASIC variants differ only in the e^x hardware, i.e. in cost
+// translation.  MESA, the multi-epoch annealer of Yin et al. [7], is the
+// same loop split into epochs: each epoch restarts from the best
+// configuration found so far and cools from a halved start temperature.
+// One class covers all three; make_annealer() says what each one sets.
 #pragma once
 
 #include <memory>
@@ -18,7 +21,12 @@
 namespace fecim::core {
 
 struct DirectEConfig {
-  std::size_t iterations = 1000;
+  std::size_t iterations = 1000;  ///< total budget across all epochs
+  /// Schedule restarts (MESA [7]): the budget splits into this many epochs
+  /// (at most one per iteration, early epochs taking the remainder); each
+  /// epoch after the first restarts from the best configuration so far and
+  /// cools from half the previous epoch's start temperature.
+  std::size_t epochs = 1;
   std::size_t flips_per_iteration = 1;
   /// 0 = auto-calibrate from the move-energy scale of the instance.
   double t_start = 0.0;
@@ -54,9 +62,6 @@ class DirectEAnnealer final : public Annealer {
                    const CancellationToken& token) const override;
 
   cost::ExpUnit exp_unit() const noexcept override { return config_.exp_unit; }
-  std::string_view name() const noexcept override {
-    return config_.exp_unit == cost::ExpUnit::kFpga ? "cim-fpga" : "cim-asic";
-  }
   const ising::IsingModel& model() const noexcept override { return *model_; }
 
   /// Auto-calibrated starting temperature (the mean uphill |dE| scale).

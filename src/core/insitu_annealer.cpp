@@ -186,8 +186,6 @@ AnnealResult InSituCimAnnealer::run(std::uint64_t seed,
 
   const FractionalAcceptance acceptance;
   double previous_vbg = -1.0;
-  ising::SweepFlipGenerator sweep(model_->num_flippable(),
-                                  config_.flips_per_iteration);
 
   for (std::size_t it = 0; it < config_.iterations; ++it) {
     driver.poll(it);
@@ -204,9 +202,6 @@ AnnealResult InSituCimAnnealer::run(std::uint64_t seed,
       case InSituConfig::FlipSelection::kRandom:
         ising::random_flip_set_into(ws.flips, model_->num_flippable(),
                                     config_.flips_per_iteration, rng);
-        break;
-      case InSituConfig::FlipSelection::kSweep:
-        sweep.next_into(ws.flips);
         break;
     }
     const auto evaluation =

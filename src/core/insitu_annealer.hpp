@@ -38,9 +38,7 @@ struct InSituConfig {
   ///    essential for domain-wall migration on grid-like instances; on
   ///    high-girth random graphs it behaves like independent picks.
   ///  * kRandom: t uniform distinct spins.
-  ///  * kSweep: consecutive index windows (a counter in hardware);
-  ///    guarantees full coverage every n/t iterations.
-  enum class FlipSelection { kCluster, kRandom, kSweep };
+  enum class FlipSelection { kCluster, kRandom };
   FlipSelection flip_selection = FlipSelection::kCluster;
   /// kCluster: probability that the next flip candidate is a neighbor of
   /// the previous one (otherwise a uniform pick).  Strictly less than 1 so
@@ -104,7 +102,6 @@ class InSituCimAnnealer final : public Annealer {
   cost::ExpUnit exp_unit() const noexcept override {
     return cost::ExpUnit::kNone;  // fractional factor realized in situ
   }
-  std::string_view name() const noexcept override { return "this-work"; }
   const ising::IsingModel& model() const noexcept override { return *model_; }
 
   const BgAnnealingSchedule& schedule() const noexcept { return schedule_; }

@@ -29,8 +29,7 @@ class RunDriver {
   struct Options {
     /// Iteration budget, used to size the trajectory reservations.
     std::size_t iterations = 0;
-    /// Trace recording; a disabled trace makes record() a no-op (MESA keeps
-    /// its historical no-trace behavior by passing a default TraceOptions).
+    /// Trace recording; a disabled trace makes record() a no-op.
     TraceOptions trace{};
     /// Warm start: copied verbatim (ancilla re-pinned) instead of drawing
     /// random spins.  Null = random initialization (the default).  Must

@@ -65,17 +65,7 @@ double ClassicSchedule::temperature(std::size_t iteration) const {
   const double progress = std::min(
       1.0, static_cast<double>(iteration) /
                static_cast<double>(config_.total_iterations - 1));
-  switch (config_.kind) {
-    case Kind::kGeometric:
-      return config_.t_start *
-             std::pow(config_.t_end / config_.t_start, progress);
-    case Kind::kLinear:
-      return config_.t_start + (config_.t_end - config_.t_start) * progress;
-    case Kind::kFixedDecay:
-      break;  // handled above
-  }
-  FECIM_ASSERT(false);
-  return config_.t_end;
+  return config_.t_start * std::pow(config_.t_end / config_.t_start, progress);
 }
 
 SbSchedule::SbSchedule(const Config& config) : config_(config) {

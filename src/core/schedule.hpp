@@ -6,8 +6,8 @@
 // (annealing terminated).  The temperature and fractional factor are derived
 // from the quantized voltage, so DAC granularity is inherent to the flow.
 //
-// ClassicSchedule -- geometric/linear temperature decay for the direct-E
-// baseline annealers (temperature in energy units).
+// ClassicSchedule -- geometric or fixed-rate temperature decay for the
+// direct-E baseline annealers (temperature in energy units).
 //
 // SbSchedule -- the simulated-bifurcation pump ramp: the bifurcation
 // parameter a(t) rises linearly 0 -> a0 across the step budget, sweeping
@@ -70,11 +70,11 @@ class BgAnnealingSchedule {
 
 class ClassicSchedule {
  public:
-  /// kGeometric / kLinear interpolate t_start -> t_end across the budget;
+  /// kGeometric interpolates t_start -> t_end across the budget;
   /// kFixedDecay applies T *= decay each iteration regardless of budget
   /// (the standard digital-annealer configuration [9, 10]) with t_end as a
   /// floor -- short budgets then terminate while still hot.
-  enum class Kind { kGeometric, kLinear, kFixedDecay };
+  enum class Kind { kGeometric, kFixedDecay };
 
   struct Config {
     double t_start = 10.0;

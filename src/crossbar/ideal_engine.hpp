@@ -16,9 +16,10 @@
 // evaluations then read cached h_eff values instead of walking CSR rows, at
 // the cost of a protocol -- the caller must report every applied flip set
 // through on_flips_applied(), and a wholesale rewrite of the configuration
-// needs a fresh engine (the annealers build one per run).  Callers that
-// hand evaluate() unrelated spin vectors (tests) leave the cache off and
-// get the stateless row-walk path.
+// needs a fresh engine (the annealers build one per run) or a cache reset
+// (the direct-E epoch restarts).  Callers that hand evaluate() unrelated
+// spin vectors (tests) leave the cache off and get the stateless row-walk
+// path.
 #pragma once
 
 #include <vector>
@@ -54,7 +55,8 @@ class IdealCrossbarEngine final : public EincEngine {
                         const ising::FlipSet& flips) override;
 
   /// Switch evaluations to the incrementally-maintained local-field cache
-  /// (built lazily from the spins of the next evaluate() call).
+  /// (built lazily from the spins of the next evaluate() call).  Calling it
+  /// again resets the cache, as a wholesale spin rewrite requires.
   void enable_local_field_cache() {
     use_cache_ = true;
     cache_.reset();

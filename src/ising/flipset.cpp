@@ -19,24 +19,4 @@ void random_flip_set_into(FlipSet& out, std::size_t n_flippable,
                                       static_cast<std::uint32_t>(t), out);
 }
 
-SweepFlipGenerator::SweepFlipGenerator(std::size_t n_flippable, std::size_t t)
-    : n_(n_flippable), t_(t) {
-  FECIM_EXPECTS(t > 0);
-  FECIM_EXPECTS(t <= n_flippable);
-}
-
-FlipSet SweepFlipGenerator::next() {
-  FlipSet flips;
-  next_into(flips);
-  return flips;
-}
-
-void SweepFlipGenerator::next_into(FlipSet& flips) {
-  flips.clear();
-  flips.reserve(t_);
-  for (std::size_t i = 0; i < t_; ++i)
-    flips.push_back(static_cast<std::uint32_t>((cursor_ + i) % n_));
-  cursor_ = (cursor_ + t_) % n_;
-}
-
 }  // namespace fecim::ising

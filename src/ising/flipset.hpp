@@ -23,21 +23,4 @@ FlipSet random_flip_set(std::size_t n_flippable, std::size_t t,
 void random_flip_set_into(FlipSet& out, std::size_t n_flippable,
                           std::size_t t, util::Rng& rng);
 
-/// Deterministic sweep generator: consecutive windows of `t` indices,
-/// wrapping around.  Useful for tests and for sweep-style annealing modes.
-class SweepFlipGenerator {
- public:
-  SweepFlipGenerator(std::size_t n_flippable, std::size_t t);
-
-  FlipSet next();
-
-  /// Allocation-free next(): clears and refills `out`.
-  void next_into(FlipSet& out);
-
- private:
-  std::size_t n_;
-  std::size_t t_;
-  std::size_t cursor_ = 0;
-};
-
 }  // namespace fecim::ising

@@ -1,5 +1,5 @@
 // Annealer behaviour: exact optima on brute-forceable instances, ledger
-// accounting, determinism, trace recording, MESA, factory wiring.
+// accounting, determinism, trace recording, MESA's epochs, factory wiring.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "core/annealer_factory.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
-#include "core/mesa.hpp"
 #include "problems/generators.hpp"
 #include "problems/maxcut.hpp"
 
@@ -179,17 +178,34 @@ TEST(DirectEAnnealer, AutoCalibratesStartTemperature) {
   EXPECT_DOUBLE_EQ(fixed.calibrated_t_start(), 42.0);
 }
 
-TEST(MesaAnnealer, ReachesOptimaAndRunsEpochs) {
+TEST(Mesa, ReachesOptimaAndRunsEpochs) {
   const auto model = small_model(10);
   const auto [spins, optimum] = model->brute_force_ground_state();
-  core::MesaConfig config;
-  config.epochs = 4;
-  config.base.iterations = 4000;
-  config.base.schedule_kind = core::ClassicSchedule::Kind::kGeometric;
-  const core::MesaAnnealer annealer(model, config);
-  const auto result = annealer.run(5);
+  core::StandardSetup setup;
+  setup.iterations = 4000;
+  const auto annealer = core::make_annealer(AnnealerKind::kMesa, model, setup);
+  const auto result = annealer->run(5);
   EXPECT_NEAR(result.best_energy, optimum, 1e-9);
   EXPECT_EQ(result.ledger.iterations, 4000u);
+}
+
+TEST(Mesa, RunsExactlyItsBudget) {
+  // Budgets below the epoch count run one iteration per epoch, and the
+  // remainder of an uneven split goes to the first epochs.
+  const auto model = small_model(13, 20);
+  core::StandardSetup setup;
+  for (const std::size_t budget : {1u, 2u, 3u, 5u, 403u}) {
+    setup.iterations = budget;
+    const auto annealer =
+        core::make_annealer(AnnealerKind::kMesa, model, setup);
+    EXPECT_EQ(annealer->run(1).ledger.iterations, budget);
+  }
+  // A zero budget is rejected at run time, as for the single-epoch kinds.
+  setup.iterations = 0;
+  for (const auto kind : {AnnealerKind::kMesa, AnnealerKind::kCimFpga}) {
+    const auto annealer = core::make_annealer(kind, model, setup);
+    EXPECT_THROW(annealer->run(1), contract_error);
+  }
 }
 
 TEST(Factory, BuildsAllKinds) {

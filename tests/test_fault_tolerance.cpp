@@ -1,8 +1,8 @@
 // Fault-tolerant campaign execution (docs/robustness.md): run lifecycle
 // statuses, deterministic fault injection, cooperative deadlines, retry
 // reseeding, checkpoint/resume bit-identity, the journal's record codec and
-// its rejection of corrupt records, and batch isolation in the fecim_solve
-// CLI.
+// its rejection of corrupt records, and batch isolation and every
+// --annealer kind in the fecim_solve CLI.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -257,7 +257,7 @@ TEST(FaultTolerance, ArmedDeadlineLeavesRunsBitIdentical) {
   armed.run_timeout_seconds = 3600.0;
   armed.time_limit_seconds = 3600.0;
   for (const core::Annealer* annealer : {insitu.get(), sb.get()}) {
-    SCOPED_TRACE(std::string(annealer->name()));
+    SCOPED_TRACE(annealer == sb.get() ? "sb-ballistic" : "this-work");
     const auto reference = core::run_campaign(*annealer, problem, plain);
     ASSERT_EQ(reference.completed, plain.runs);
     expect_results_equal(reference,
@@ -667,7 +667,8 @@ TEST(FaultTolerance, InvalidConfigIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch isolation in the fecim_solve CLI
+// The fecim_solve CLI: batch isolation, undersized generated graphs, and
+// every --annealer kind
 // ---------------------------------------------------------------------------
 
 #ifdef FECIM_SOLVE_PATH
@@ -780,6 +781,43 @@ TEST(FaultTolerance, UndersizedGeneratedGraphsAreRejectedBeforeGenerating) {
   }
   EXPECT_EQ(failed, 2u);
   EXPECT_TRUE(fine_ok);
+}
+
+TEST(FaultTolerance, EveryAnnealerKindRunsThroughTheCli) {
+  std::ifstream probe(FECIM_SOLVE_PATH);
+  if (!probe.good()) GTEST_SKIP() << "fecim_solve binary not built";
+  probe.close();
+
+  // Every --annealer name on a generated Max-Cut, and MESA (the direct-E
+  // epoch loop) on a constrained family whose model carries an ancilla.
+  const struct {
+    const char* annealer;
+    const char* instance;
+  } cases[] = {{"this-work", "--nodes 16"},
+               {"this-work-ideal", "--nodes 16"},
+               {"cim-fpga", "--nodes 16"},
+               {"cim-asic", "--nodes 16"},
+               {"mesa", "--nodes 16"},
+               {"mesa", "--problem knapsack --items 6"}};
+  const std::string csv = testing::TempDir() + "/fecim_annealer_kind.csv";
+  for (const auto& c : cases) {
+    const std::string args = std::string("--annealer ") + c.annealer + " " +
+                             c.instance + " --iterations 200 --runs 2 --csv";
+    SCOPED_TRACE(args);
+    std::string err;
+    EXPECT_EQ(run_solver(args, err, csv), 0) << err;
+    // One header and one row; the row's third column is the annealer.
+    std::ifstream in(csv);
+    std::string header, row;
+    ASSERT_TRUE(std::getline(in, header) && std::getline(in, row));
+    EXPECT_EQ(header.rfind("instance,family,annealer,", 0), 0u) << header;
+    const auto first = row.find(',');
+    const auto second = row.find(',', first + 1);
+    const auto third = row.find(',', second + 1);
+    ASSERT_NE(third, std::string::npos) << row;
+    EXPECT_EQ(row.substr(second + 1, third - second - 1), c.annealer) << row;
+    EXPECT_EQ(row.rfind(",ok"), row.size() - 3) << row;
+  }
 }
 #endif  // FECIM_SOLVE_PATH
 

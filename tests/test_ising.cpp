@@ -166,14 +166,6 @@ TEST(FlipSet, RandomSetRespectsBounds) {
   }
 }
 
-TEST(FlipSet, SweepCoversAllIndices) {
-  fecim::ising::SweepFlipGenerator sweep(10, 3);
-  std::vector<int> touched(10, 0);
-  for (int i = 0; i < 10; ++i)
-    for (const auto f : sweep.next()) ++touched[f];
-  for (const int t : touched) EXPECT_GE(t, 2);  // 30 picks over 10 slots
-}
-
 TEST(FlipSet, RejectsOversizedRequests) {
   fecim::util::Rng rng(91);
   EXPECT_THROW(fecim::ising::random_flip_set(3, 4, rng),

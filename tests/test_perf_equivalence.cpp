@@ -15,14 +15,19 @@
 // identical cursor positions, zero hidden coupling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "core/acceptance.hpp"
+#include "core/annealer_factory.hpp"
 #include "core/bifurcation_annealer.hpp"
 #include "core/direct_annealer.hpp"
 #include "core/insitu_annealer.hpp"
+#include "core/run_driver.hpp"
 #include "crossbar/analog_engine.hpp"
 #include "crossbar/ideal_engine.hpp"
 #include "crossbar/reference_kernels.hpp"
@@ -53,10 +58,28 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// their blocks reach the replaced operator delete, so they must come from
+// malloc as well.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -339,6 +362,10 @@ void expect_run_equal(const core::AnnealResult& a, const core::AnnealResult& b) 
   EXPECT_EQ(a.ledger.spin_updates, b.ledger.spin_updates);
   EXPECT_EQ(a.ledger.crossbar_passes, b.ledger.crossbar_passes);
   EXPECT_EQ(a.ledger.exp_evaluations, b.ledger.exp_evaluations);
+  EXPECT_EQ(a.ledger.tile_activations, b.ledger.tile_activations);
+  EXPECT_EQ(a.ledger.partial_sum_updates, b.ledger.partial_sum_updates);
+  EXPECT_EQ(a.trajectory.size(), b.trajectory.size());
+  EXPECT_EQ(a.ledger_trajectory.size(), b.ledger_trajectory.size());
 }
 
 /// The seed in-situ loop for the analog engine: reference analog evaluation,
@@ -589,6 +616,124 @@ TEST(FullRunEquivalence, DirectEMatchesSeedLoop) {
   }
 }
 
+/// The seed MESA loop, as MesaAnnealer ran it before MESA became
+/// DirectEAnnealer's epoch loop: cache-less engine, freshly-allocated flip
+/// sets, the exp unit charged only when the test evaluates it,
+/// max(1, budget / 4) iterations per epoch with the remainder on the first
+/// ones, and every epoch restarting from the best configuration.  `base` is
+/// MESA's configuration with one epoch; a probe annealer calibrates its
+/// start temperature.
+core::AnnealResult seed_mesa_run(
+    const std::shared_ptr<const ising::IsingModel>& model,
+    const core::DirectEConfig& base, std::uint64_t seed) {
+  constexpr std::size_t kEpochs = 4;
+  constexpr double kEpochTemperatureDecay = 0.5;
+  const crossbar::CrossbarMapping mapping(
+      model->num_spins(),
+      crossbar::QuantizedCouplings(model->couplings(), base.mapping.bits)
+              .has_negative()
+          ? 2
+          : 1,
+      base.mapping);
+  const core::DirectEAnnealer probe(model, base);
+  const double t_start = probe.calibrated_t_start();
+
+  const std::size_t base_per_epoch =
+      std::max<std::size_t>(1, base.iterations / kEpochs);
+  const std::size_t remainder =
+      base.iterations > base_per_epoch * kEpochs
+          ? base.iterations - base_per_epoch * kEpochs
+          : 0;
+
+  crossbar::IdealCrossbarEngine engine(*model, mapping,
+                                       crossbar::Accounting::kDirectFullArray,
+                                       base.tiles);
+  const core::MetropolisAcceptance acceptance;
+
+  core::RunDriver driver(*model, seed, core::CancellationToken::none(),
+                         {0, core::TraceOptions{}, base.initial_spins.get()});
+  auto& rng = driver.rng;
+  auto& spins = driver.spins;
+
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    spins = driver.result.best_spins;
+    driver.energy = driver.result.best_energy;
+    const std::size_t per_epoch = base_per_epoch + (epoch < remainder ? 1 : 0);
+    const double epoch_t_start =
+        t_start *
+        std::pow(kEpochTemperatureDecay, static_cast<double>(epoch));
+    const core::ClassicSchedule schedule(
+        {epoch_t_start, epoch_t_start * base.t_end_fraction, per_epoch,
+         base.schedule_kind});
+
+    for (std::size_t it = 0; it < per_epoch; ++it) {
+      const double temperature = schedule.temperature(it);
+      const auto flips = ising::random_flip_set(
+          model->num_flippable(), base.flips_per_iteration, rng);
+      const auto evaluation = engine.evaluate(spins, flips, {1.0, 0.0});
+      crossbar::merge_trace(driver.result.ledger, evaluation.trace);
+      ++driver.result.ledger.iterations;
+      double delta_e = 4.0 * evaluation.raw_vmv;
+      for (const auto i : flips)
+        delta_e += -2.0 * model->fields()[i] * static_cast<double>(spins[i]);
+
+      const auto decision = acceptance.accept(delta_e, temperature, rng);
+      if (decision.exp_evaluated) ++driver.result.ledger.exp_evaluations;
+      if (decision.accepted) {
+        driver.energy += delta_e;
+        ising::flip_in_place(spins, flips);
+        driver.count_accept(flips.size(), delta_e > 0.0);
+        driver.track_best();
+      }
+    }
+  }
+  return driver.finish();
+}
+
+TEST(FullRunEquivalence, MesaMatchesSeedLoop) {
+  // make_annealer(kMesa) against the pre-fold loop, on unit and +-1
+  // weights (dyadic, so the cached and row-walk sums agree exactly), one
+  // and two flips per move, an even and an uneven budget split, random
+  // starts and one warm start.
+  for (const auto weights :
+       {problems::WeightScheme::kUnit, problems::WeightScheme::kPlusMinusOne}) {
+    const auto instance = problems::make_maxcut_problem(
+        "mesa", problems::random_graph(48, 6.0, weights, 83), 16, 83);
+    for (const std::size_t flips : {1u, 2u}) {
+      for (const std::size_t budget : {400u, 403u}) {
+        core::StandardSetup setup;
+        setup.iterations = budget;
+        setup.baseline_flips = flips;
+        core::DirectEConfig base;
+        base.iterations = budget;
+        base.flips_per_iteration = flips;
+        base.schedule_kind = core::ClassicSchedule::Kind::kGeometric;
+        const auto mesa =
+            core::make_annealer(core::AnnealerKind::kMesa, instance.model,
+                                setup);
+        for (const std::uint64_t seed : {5ULL, 17ULL, 97531ULL}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "weights " << static_cast<int>(weights) << " flips "
+                       << flips << " budget " << budget << " seed " << seed);
+          expect_run_equal(mesa->run(seed),
+                           seed_mesa_run(instance.model, base, seed));
+        }
+        if (weights == problems::WeightScheme::kPlusMinusOne && flips == 2 &&
+            budget == 403) {
+          SCOPED_TRACE("warm start");
+          setup.initial_spins =
+              std::make_shared<const ising::SpinVector>(instance.warm_start());
+          base.initial_spins = setup.initial_spins;
+          const auto warm = core::make_annealer(core::AnnealerKind::kMesa,
+                                                instance.model, setup);
+          expect_run_equal(warm->run(5),
+                           seed_mesa_run(instance.model, base, 5));
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pooled parallel_for: correctness across repeated reuse, and no wasted
 // body executions once a task has thrown.
@@ -724,6 +869,19 @@ TEST(ZeroAllocationLoop, DirectE) {
     config.iterations = iterations;
     config.flips_per_iteration = 2;
     return std::make_unique<core::DirectEAnnealer>(instance.model, config);
+  });
+}
+
+TEST(ZeroAllocationLoop, Mesa) {
+  // The epoch restarts copy the best spins into the live vector and rebuild
+  // the local fields in place: no allocation beyond per-run setup.
+  const auto instance = unit_instance(64, 96);
+  expect_iteration_free_allocations([&](std::size_t iterations) {
+    core::StandardSetup setup;
+    setup.iterations = iterations;
+    setup.baseline_flips = 2;
+    return core::make_annealer(core::AnnealerKind::kMesa, instance.model,
+                               setup);
   });
 }
 

@@ -77,13 +77,6 @@ TEST(ClassicSchedule, GeometricEndpoints) {
   EXPECT_NEAR(schedule.temperature(499), std::sqrt(100.0 * 0.1), 0.15);
 }
 
-TEST(ClassicSchedule, LinearEndpoints) {
-  ClassicSchedule schedule({10.0, 2.0, 5, ClassicSchedule::Kind::kLinear});
-  EXPECT_DOUBLE_EQ(schedule.temperature(0), 10.0);
-  EXPECT_DOUBLE_EQ(schedule.temperature(4), 2.0);
-  EXPECT_DOUBLE_EQ(schedule.temperature(2), 6.0);
-}
-
 TEST(ClassicSchedule, FixedDecayIgnoresBudget) {
   // The same decay rate regardless of total iterations: short budgets stay
   // hot -- the mechanism behind the baselines' small-budget failures.
