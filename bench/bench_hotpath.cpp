@@ -8,6 +8,12 @@
 //                               per-cell sweep (V_TH spread, read and ADC
 //                               noise) vs reference::analog_evaluate;
 //   sweep-tiled n=256, n=1024   the same over n/4-row tiles;
+//   bank-sums n=800             noisy evaluate/apply sequences on the
+//                               engine's per-run bank sums (replica-noisy's
+//                               shape: unit-weight degree-48 graph, |F| = 2
+//                               neighbouring flips, ~5 % of sets applied)
+//                               vs reference::analog_evaluate on the same
+//                               spins (PERF.md invariant 10);
 //   ideal n=1024                IdealCrossbarEngine with its local-field
 //                               cache vs reference::incremental_vmv;
 //   sampler                     NoiseStream::normal_fill vs per-index
@@ -28,12 +34,15 @@
 // timed in thread CPU time, which leaves out any interval the thread spends
 // descheduled.
 //
-// lifecycle requires both runs to be bit-identical and program-cached
-// requires a hit to return the first build; a failed check exits 1 after
-// the rows are written.  FECIM_BENCH_OUT names the JSON file to write;
-// tools/bench_gate.py compares it with BENCH_hotpath.json.
+// bank-sums requires every evaluation's e_inc to be bit-identical on both
+// sides, lifecycle requires both runs to be bit-identical and
+// program-cached requires a hit to return the first build; a failed check
+// exits 1 after the rows are written.  FECIM_BENCH_OUT names the JSON file
+// to write; tools/bench_gate.py compares it with BENCH_hotpath.json.
 #include <time.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -221,6 +230,101 @@ Row sweep_row(const Inputs& in, const crossbar::TileShape& tiles) {
           })};
 }
 
+/// Evaluate/apply sequences on the engine's bank sums, replica-noisy's
+/// shape: both sides walk the same cycled list of proposals -- a random
+/// spin and one of its neighbours, so the second flip has a cell in the
+/// first's column -- and apply the same ~5 % of them to their own spin
+/// vectors, so operation i reads the same spins and noise cursor on both
+/// sides.  Each side records its e_inc per operation; check_bank_sums()
+/// compares the common prefix.
+struct BankSumSequence {
+  std::shared_ptr<const ising::IsingModel> model;
+  std::shared_ptr<const crossbar::ProgrammedArray> array;
+  core::InSituConfig config = noisy_config();
+  ising::SpinVector start;
+  std::vector<ising::FlipSet> flips;
+  std::vector<crossbar::AnnealSignal> signals;
+  std::vector<std::uint8_t> applied;
+  std::vector<double> engine_e_inc, reference_e_inc;
+
+  BankSumSequence() {
+    constexpr std::size_t kNodes = 800;
+    constexpr std::size_t kProposals = 4096;
+    model = std::make_shared<const ising::IsingModel>(problems::maxcut_to_ising(
+        problems::gset_like_instance(kNodes, 1800)));
+    const crossbar::QuantizedCouplings quantized(model->couplings(),
+                                                 config.mapping.bits);
+    const crossbar::CrossbarMapping mapping(kNodes, 1, config.mapping);
+    array = std::make_shared<const crossbar::ProgrammedArray>(
+        quantized, mapping, config.device, config.variation,
+        config.array_seed);
+    auto schedule_config = config.schedule;
+    schedule_config.total_iterations = kProposals;
+    const core::BgAnnealingSchedule schedule(schedule_config);
+    util::Rng rng(17);
+    start = ising::random_spins(kNodes, rng);
+    for (std::size_t i = 0; i < kProposals; ++i) {
+      const auto first = static_cast<std::uint32_t>(rng.uniform_index(kNodes));
+      const auto neighbours = model->couplings().row_cols(first);
+      const auto second = neighbours[rng.uniform_index(neighbours.size())];
+      flips.push_back({first, second});
+      const auto point = schedule.at(i);
+      signals.push_back({point.factor, point.vbg});
+      applied.push_back(rng.bernoulli(0.05) ? 1 : 0);
+    }
+  }
+  std::size_t proposal(std::size_t op) const noexcept {
+    return op % flips.size();
+  }
+};
+
+Row bank_sums_row(const std::shared_ptr<BankSumSequence>& seq) {
+  const auto engine = std::make_shared<crossbar::AnalogCrossbarEngine>(
+      seq->array, seq->config.analog);
+  engine->enable_incremental_readout();
+  check(engine->incremental_readout(),
+        "bank-sums: the array does not support the bank sums");
+  engine->begin_run(42);
+  const double i_on_max =
+      seq->array->on_current(seq->array->device_params().vbg_max);
+  return {"bank-sums n=800",
+          side([seq, engine, spins = seq->start](std::size_t op) mutable {
+            const std::size_t k = seq->proposal(op);
+            const double e_inc =
+                engine->evaluate(spins, seq->flips[k], seq->signals[k]).e_inc;
+            if (seq->applied[k] != 0) {
+              ising::flip_in_place(spins, seq->flips[k]);
+              engine->on_flips_applied(spins, seq->flips[k]);
+            }
+            seq->engine_e_inc.push_back(e_inc);
+            return e_inc;
+          }),
+          side([seq, engine, i_on_max, spins = seq->start,
+                noise = crossbar::ReadoutNoise::for_run(42)](
+                   std::size_t op) mutable {
+            const std::size_t k = seq->proposal(op);
+            const double e_inc =
+                crossbar::reference::analog_evaluate(
+                    *seq->array, engine->adc(), engine->band_attenuations(),
+                    i_on_max, spins, seq->flips[k], seq->signals[k], noise)
+                    .e_inc;
+            if (seq->applied[k] != 0)
+              ising::flip_in_place(spins, seq->flips[k]);
+            seq->reference_e_inc.push_back(e_inc);
+            return e_inc;
+          })};
+}
+
+void check_bank_sums(const BankSumSequence& seq) {
+  const std::size_t common =
+      std::min(seq.engine_e_inc.size(), seq.reference_e_inc.size());
+  bool same = common > 0;
+  for (std::size_t i = 0; i < common && same; ++i)
+    same = std::bit_cast<std::uint64_t>(seq.engine_e_inc[i]) ==
+           std::bit_cast<std::uint64_t>(seq.reference_e_inc[i]);
+  check(same, "bank-sums: an e_inc differs from the reference");
+}
+
 Row ideal_row(const Inputs& in) {
   const auto engine = std::make_shared<crossbar::IdealCrossbarEngine>(
       *in->model, in->mapping, crossbar::Accounting::kInSitu);
@@ -331,11 +435,14 @@ int main() {
     rows.push_back(sweep_row(in, {}));
     rows.push_back(sweep_row(in, {in->n() / 4, 0}));
   }
+  const auto sequence = std::make_shared<BankSumSequence>();
+  rows.push_back(bank_sums_row(sequence));
   rows.push_back(ideal_row(large));
   rows.push_back(sampler_row());
   rows.push_back(lifecycle_row(small));
   rows.push_back(program_cached_row(small));
   const auto measured = measure(rows);
+  check_bank_sums(*sequence);
 
   util::Table table({"row", "median A/B", "trials"});
   for (const auto& row : measured) {

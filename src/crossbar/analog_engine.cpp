@@ -10,11 +10,6 @@ namespace fecim::crossbar {
 
 namespace {
 
-/// Draws one keyed fill of evaluate_columns() covers at most, unless a
-/// single column needs more: bounds its draw buffer independently of n.
-/// 256 and 4,096 timed the same on simulated bifurcation.
-constexpr std::size_t kColumnDrawBlock = 1024;
-
 circuit::SarAdcParams resolve_adc_params(const AnalogEngineConfig& config,
                                          const ProgrammedArray& array) {
   circuit::SarAdcParams params = config.adc;
@@ -24,55 +19,63 @@ circuit::SarAdcParams resolve_adc_params(const AnalogEngineConfig& config,
   return params;
 }
 
-/// All conversions of one (flip, band) unit from its 2 * present lanes,
-/// laid out [pass][slot] in cursor order -- the +1 row-polarity pass first,
-/// each pass over the unit's present slots (bit ascending, + plane before
-/// -).  That is also the order of the unit's batched keyed draws, so sums,
-/// squared sums and draws are all read contiguously, and `wgt` holds each
-/// slot's signed digital weight plane_sign * 2^bit.  Returns
-/// sum_slot wgt * code(+1 pass) - sum_slot wgt * code(-1 pass).  Every
-/// term is an exact integer-valued double (|code| < 2^13 scaled by
-/// 2^bit < 2^16), so the four independent lane accumulators reduced
-/// pairwise equal the historical int64 shift-and-add bit-for-bit.  Kept
-/// `noinline` as a vectorization barrier: inlined into the unit loop,
-/// GCC's induction-variable rewrite defeats the vectorization (same
-/// failure mode as the ziggurat fill pass, see util/rng.cpp).
+/// Converts `count` lanes: lane i carries its sum[i], squared sum sq[i]
+/// (read only with kTrackSq) and keyed draw z[i], and gets its ADC code in
+/// code[i].  A plain element-wise loop over the lanes of any number of
+/// units, which vectorizes at unit stride.  Kept `noinline` as a
+/// vectorization barrier: inlined into its caller, GCC's induction-variable
+/// rewrite defeats the vectorization (same failure mode as the ziggurat
+/// fill pass, see util/rng.cpp).
 template <bool kTrackSq>
-__attribute__((noinline)) double convert_unit(
+__attribute__((noinline)) void convert_lanes(
     const double* FECIM_RESTRICT sum, const double* FECIM_RESTRICT sq,
-    const double* FECIM_RESTRICT z, const double* FECIM_RESTRICT wgt,
-    std::size_t present, double current_scale, double noise_var_scale,
+    const double* FECIM_RESTRICT z, double* FECIM_RESTRICT code,
+    std::size_t count, double current_scale, double noise_var_scale,
     double adc_variance, double sigma_adc,
     const circuit::SarAdc& adc) noexcept {
-  double pass_total[2];
-  for (std::size_t pass = 0; pass < 2; ++pass) {
-    const double* FECIM_RESTRICT s = sum + pass * present;
-    const double* FECIM_RESTRICT q = sq + pass * present;
-    const double* FECIM_RESTRICT zp = z + pass * present;
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    std::size_t i = 0;
-    for (; i + 4 <= present; i += 4) {
-      for (std::size_t m = 0; m < 4; ++m) {
-        // Same sigma expression tree as the reference kernel: readout_sigma
-        // of the scaled squared sum, or the bare ADC sigma when read noise
-        // is off.
-        const double sigma =
-            kTrackSq ? readout_sigma(noise_var_scale * q[i + m], adc_variance)
-                     : sigma_adc;
-        const double current = current_scale * s[i + m] + sigma * zp[i + m];
-        acc[m] += wgt[i + m] * adc.convert_ideal_d(current);
-      }
-    }
-    for (std::size_t m = 0; i < present; ++i, ++m) {
-      const double sigma =
-          kTrackSq ? readout_sigma(noise_var_scale * q[i], adc_variance)
-                   : sigma_adc;
-      const double current = current_scale * s[i] + sigma * zp[i];
-      acc[m] += wgt[i] * adc.convert_ideal_d(current);
-    }
-    pass_total[pass] = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+  for (std::size_t i = 0; i < count; ++i) {
+    // Same sigma expression tree as the reference kernel: readout_sigma of
+    // the scaled squared sum, or the bare ADC sigma when read noise is off.
+    const double sigma =
+        kTrackSq ? readout_sigma(noise_var_scale * sq[i], adc_variance)
+                 : sigma_adc;
+    code[i] = adc.convert_ideal_d(current_scale * sum[i] + sigma * z[i]);
   }
-  return pass_total[0] - pass_total[1];
+}
+
+/// A band's conversion factors: the current per unit multiplier sum and the
+/// read-noise variance per unit squared sum.  Association mirrors the
+/// per-cell form, (i_on * att) * sum and ((rel * i_on) * att)^2 * sq_sum,
+/// keeping results bit-identical.
+struct BandScale {
+  double current = 1.0;
+  double noise_var = 1.0;
+};
+inline BandScale band_scale(double i_on, double read_noise_rel,
+                            double attenuation) noexcept {
+  const double noise = (read_noise_rel * i_on) * attenuation;
+  return {i_on * attenuation, noise * noise};
+}
+
+/// Code sum of one unit from its converted [pass][slot] lanes `code` and
+/// its slots' signed digital weights plane_sign * 2^bit: sum_slot weight *
+/// (code(+1 pass) - code(-1 pass)).  Every term is an exact integer-valued
+/// double (|code| < 2^13 scaled by 2^bit < 2^16), so any association --
+/// here two independent accumulators, which suit the few slots a unit has
+/// -- equals the historical int64 shift-and-add bit for bit.
+inline double unit_code_sum(const double* FECIM_RESTRICT code,
+                            const double* FECIM_RESTRICT weight,
+                            std::size_t present) noexcept {
+  const double* FECIM_RESTRICT minus = code + present;
+  double even = 0.0;
+  double odd = 0.0;
+  std::size_t i = 0;
+  for (; i + 2 <= present; i += 2) {
+    even += weight[i] * (code[i] - minus[i]);
+    odd += weight[i + 1] * (code[i + 1] - minus[i + 1]);
+  }
+  if (i < present) even += weight[i] * (code[i] - minus[i]);
+  return even + odd;
 }
 
 /// Accumulates a column's cells [range.begin, range.end) into dense bank
@@ -116,39 +119,28 @@ FECIM_ALWAYS_INLINE inline void accumulate_banks(
   }
 }
 
-/// Index of row `row` among column cells [begin, end) (rows ascend), or
-/// `end` when the column stores no cell there.
-std::uint32_t find_cell(std::span<const std::uint32_t> rows,
-                        std::uint32_t begin, std::uint32_t end,
-                        std::uint32_t row) noexcept {
-  const auto* first = rows.data() + begin;
-  const auto* last = rows.data() + end;
-  const auto* it = std::lower_bound(first, last, row);
-  return it != last && *it == row ? static_cast<std::uint32_t>(it - rows.data())
-                                  : end;
+/// Index of row `row` among a column's cells `rows` (ascending), or
+/// rows.size() when the column stores no cell there: a branch-free count
+/// of the smaller rows, which vectorizes, instead of a binary search whose
+/// branches a random row mispredicts.
+std::size_t find_cell(std::span<const std::uint32_t> rows,
+                      std::uint32_t row) noexcept {
+  const std::uint32_t* FECIM_RESTRICT r = rows.data();
+  std::size_t below = 0;
+  for (std::size_t k = 0; k < rows.size(); ++k) below += r[k] < row ? 1 : 0;
+  return below < rows.size() && r[below] == row ? below : rows.size();
 }
 
-/// Moves one cell into (kAdd) or out of the slot lanes `sum`/`sq` of its
-/// (band, column): slot i, encoded src[i] = plane * bits + bit, gains or
-/// loses the cell's multiplier of that bit (and its grid square unless `sq`
-/// is null) when it lies in the cell's plane, whose encodings start at
-/// `lo`.  On an array with supports_incremental_readout() every result is
-/// an exact subset sum of the segment's cells, so moves commute.
-template <bool kAdd>
-void move_cell(double* FECIM_RESTRICT sum, double* FECIM_RESTRICT sq,
-               std::span<const std::uint8_t> src,
-               const float* FECIM_RESTRICT mults, std::uint32_t lo,
-               std::uint32_t bits, double grid, double inv_grid) noexcept {
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const std::uint32_t b = src[i] - lo;
-    if (b >= bits) continue;  // the other plane's slot
-    const double m = mults[b];
-    sum[i] = kAdd ? sum[i] + m : sum[i] - m;
-    if (sq == nullptr) continue;
-    const double m2 = grid_square(m, grid, inv_grid);
-    sq[i] = kAdd ? sq[i] + m2 : sq[i] - m2;
-  }
+/// Starts loading `bytes` bytes from `data`, one cache line at a time.
+inline void prefetch_bytes(const void* data, std::size_t bytes) noexcept {
+  const char* p = static_cast<const char*>(data);
+  for (std::size_t offset = 0; offset < bytes; offset += 64)
+    __builtin_prefetch(p + offset);
 }
+
+/// How many cells ahead of its move on_flips_applied() starts loading a
+/// cell's multiplier row and state block.
+constexpr std::size_t kPrefetchCells = 8;
 
 }  // namespace
 
@@ -192,11 +184,56 @@ AnalogCrossbarEngine::AnalogCrossbarEngine(
                        (i_on_max_ * band_attenuation_[b]);
   workspace_.flip_mask.assign(array_->mapping().num_spins(), 0);
   workspace_.band_acc.assign(bands.size(), 0.0);
+  for (std::size_t j = 0; j < num_spins(); ++j)
+    max_column_lanes_ =
+        std::max<std::size_t>(max_column_lanes_,
+                              2 * array_->column_total_present_segments(j));
+}
+
+void AnalogCrossbarEngine::LaneBuffer::reserve(std::size_t lanes) {
+  if (lanes <= capacity) return;
+  storage.resize(4 * lanes);
+  capacity = lanes;
 }
 
 void AnalogCrossbarEngine::begin_run(std::uint64_t run_seed) {
   noise_ = ReadoutNoise::for_run(run_seed);
+  // The window holds the previous key's draws: drop it, so the run's first
+  // read (at cursor 0) refills it.
+  window_end_ = 0;
   state_live_ = false;
+}
+
+void AnalogCrossbarEngine::refill_window() {
+  if (window_.size() < kDrawWindow) window_.resize(kDrawWindow);
+  noise_.conversion.normal_fill(noise_.next_conversion, window_);
+  window_end_ = noise_.next_conversion + kDrawWindow;
+}
+
+const double* AnalogCrossbarEngine::window_draws(std::size_t count) {
+  if (noise_.next_conversion == window_end_) refill_window();
+  const std::uint64_t next = noise_.next_conversion;
+  // The cursor lies inside the window: only begin_run() moves it back, and
+  // it drops the window.
+  FECIM_ASSERT(window_end_ - next <= kDrawWindow);
+  if (window_end_ - next >= count) {
+    noise_.next_conversion = next + count;
+    return window_.data() + (next - (window_end_ - kDrawWindow));
+  }
+  // The read straddles the window's end: copy its draws, refilling the
+  // window each time the cursor reaches its end.
+  double* out = lanes_.z();
+  for (std::size_t done = 0; done < count;) {
+    if (noise_.next_conversion == window_end_) refill_window();
+    const auto offset = static_cast<std::size_t>(
+        noise_.next_conversion - (window_end_ - kDrawWindow));
+    const std::size_t take =
+        std::min<std::size_t>(count - done, kDrawWindow - offset);
+    std::copy_n(window_.data() + offset, take, out + done);
+    done += take;
+    noise_.next_conversion += take;
+  }
+  return out;
 }
 
 void AnalogCrossbarEngine::enable_incremental_readout() {
@@ -205,6 +242,27 @@ void AnalogCrossbarEngine::enable_incremental_readout() {
   state_live_ = false;
   state_stride_ = array_->variation_params().read_noise_rel > 0.0 ? 4 : 2;
   state_.assign(state_stride_ * array_->num_slots(), 0.0);
+  // Each (band, column)'s slots regrouped by plane, for the moves.
+  const auto bits = static_cast<std::size_t>(array_->couplings().bits());
+  plane_slots_.assign(array_->num_bands() * num_spins(), 0);
+  move_slot_.assign(array_->num_slots(), 0);
+  move_bit_.assign(array_->num_slots(), 0);
+  for (std::size_t band = 0; band < array_->num_bands(); ++band)
+    for (std::size_t j = 0; j < num_spins(); ++j) {
+      const auto src = array_->column_slot_src(band, j);
+      const std::size_t base = array_->column_slot_begin(band, j);
+      std::size_t t = 0;
+      for (std::uint32_t plane = 0; plane < 2; ++plane) {
+        for (std::size_t i = 0; i < src.size(); ++i) {
+          if (src[i] / bits != plane) continue;
+          move_slot_[base + t] = static_cast<std::uint8_t>(i);
+          move_bit_[base + t] = static_cast<std::uint8_t>(src[i] % bits);
+          ++t;
+        }
+        if (plane == 0)
+          plane_slots_[band * num_spins() + j] = static_cast<std::uint8_t>(t);
+      }
+    }
 }
 
 void AnalogCrossbarEngine::build_incremental_state(
@@ -259,6 +317,35 @@ void AnalogCrossbarEngine::mark_flips(const ising::FlipSet& flips,
   }
 }
 
+FECIM_ALWAYS_INLINE inline void AnalogCrossbarEngine::move_plane(
+    double* FECIM_RESTRICT sum, double* FECIM_RESTRICT sq, std::size_t base,
+    std::size_t present, std::size_t plus_slots, std::uint32_t plane,
+    const float* FECIM_RESTRICT m, std::size_t bits, double s, double grid,
+    double inv_grid) const {
+  // Adding s * m equals the historical add or subtract of m, and on an
+  // array with supports_incremental_readout() every result is an exact
+  // subset sum of the segment's cells, so moves commute.  The plane's slots
+  // start at base (+ plane) or base + plus_slots (- plane).
+  const std::size_t first = plane == 0 ? 0 : plus_slots;
+  const std::size_t count = plane == 0 ? plus_slots : present - plus_slots;
+  if (present == bits && (plus_slots == 0 || plus_slots == present)) {
+    // A one-plane column with every bit present: its slots are the plane's
+    // bits 0 .. bits-1 in order (first is 0 whenever count is not), so the
+    // bit row adds as it is.
+    for (std::size_t b = 0; b < count; ++b) sum[b] += s * m[b];
+    if (sq != nullptr)
+      for (std::size_t b = 0; b < count; ++b)
+        sq[b] += s * grid_square(m[b], grid, inv_grid);
+    return;
+  }
+  const std::uint8_t* FECIM_RESTRICT slot = move_slot_.data() + base + first;
+  const std::uint8_t* FECIM_RESTRICT bit = move_bit_.data() + base + first;
+  for (std::size_t t = 0; t < count; ++t) sum[slot[t]] += s * m[bit[t]];
+  if (sq != nullptr)
+    for (std::size_t t = 0; t < count; ++t)
+      sq[slot[t]] += s * grid_square(m[bit[t]], grid, inv_grid);
+}
+
 void AnalogCrossbarEngine::on_flips_applied(
     std::span<const ising::Spin> spins_after, const ising::FlipSet& flips) {
   if (!state_live_) return;
@@ -268,35 +355,45 @@ void AnalogCrossbarEngine::on_flips_applied(
   mark_flips(flips, true);
   for (const auto f : flips) workspace_.flip_mask[f] = 0;
   const auto& couplings = array_->couplings();
-  const auto bits = static_cast<std::uint32_t>(couplings.bits());
+  const auto bits = static_cast<std::size_t>(couplings.bits());
   const auto magnitudes = couplings.magnitudes();
   const float* const mults = array_->multipliers().data();
   const std::uint16_t* const mirror = array_->mirror_offsets().data();
   const double grid = array_->square_grid();
   const double inv_grid = 1.0 / grid;
+  const std::size_t stride = state_stride_;
+  const bool squares = stride == 4;
+  const std::size_t n = num_spins();
   const auto bands = array_->bands();
   for (const auto f : flips) {
     // Row f's cells sit in its band, one in each column j that column f
     // couples to (symmetric pattern); the mirror offsets locate them.
     std::size_t band = 0;
     while (f >= bands[band].row_end) ++band;
-    const bool to_plus = spins_after[f] > 0;
+    const double s = spins_after[f] > 0 ? 1.0 : -1.0;
     const auto view = array_->column(f);
-    for (std::size_t k = 0; k < view.rows.size(); ++k) {
+    const std::size_t cells = view.rows.size();
+    const std::uint16_t* const cell_mirror = mirror + view.first_entry;
+    for (std::size_t k = 0; k < cells; ++k) {
+      // The cells' multiplier rows and state blocks are scattered over the
+      // array: start loading those of the cell kPrefetchCells ahead.
+      if (k + kPrefetchCells < cells) {
+        const std::uint32_t ahead = view.rows[k + kPrefetchCells];
+        __builtin_prefetch(mults + (couplings.column_begin(ahead) +
+                                    cell_mirror[k + kPrefetchCells]) *
+                                       bits);
+        __builtin_prefetch(state_.data() +
+                           stride * array_->column_slot_begin(band, ahead));
+      }
       const std::uint32_t j = view.rows[k];
-      const std::size_t entry =
-          couplings.column_begin(j) + mirror[view.first_entry + k];
-      const auto src = array_->column_slot_src(band, j);
-      double* block =
-          state_.data() + state_stride_ * array_->column_slot_begin(band, j);
-      double* sq = state_stride_ == 4 ? block + 2 * src.size() : nullptr;
-      const std::uint32_t lo = (magnitudes[entry] < 0 ? 1u : 0u) * bits;
-      if (to_plus)
-        move_cell<true>(block, sq, src, mults + entry * bits, lo, bits, grid,
-                        inv_grid);
-      else
-        move_cell<false>(block, sq, src, mults + entry * bits, lo, bits, grid,
-                         inv_grid);
+      const std::size_t entry = couplings.column_begin(j) + cell_mirror[k];
+      const std::size_t base = array_->column_slot_begin(band, j);
+      const std::size_t present = array_->column_slot_src(band, j).size();
+      double* block = state_.data() + stride * base;
+      move_plane(block, squares ? block + 2 * present : nullptr, base,
+                 present, plane_slots_[band * n + j],
+                 magnitudes[entry] < 0 ? 1u : 0u, mults + entry * bits, bits,
+                 s, grid, inv_grid);
     }
   }
 }
@@ -319,17 +416,17 @@ AnalogCrossbarEngine::UnitInvariants AnalogCrossbarEngine::unit_invariants(
   return inv;
 }
 
-FECIM_ALWAYS_INLINE inline double AnalogCrossbarEngine::read_unit(
+FECIM_ALWAYS_INLINE inline void AnalogCrossbarEngine::assemble_unit(
     const UnitInvariants& inv, const ising::Spin* spins,
     std::span<const std::uint32_t> flips, std::size_t fi, std::size_t band,
     const ProgrammedArray::ColumnView& view,
-    std::span<const std::uint8_t> src, const double* z) {
+    std::span<const std::uint8_t> src, std::size_t pos) {
   const std::uint32_t j = flips[fi];
   const std::size_t bits = inv.bits;
   const std::size_t present = src.size();
-  const auto range = array_->column_band_cells(band, j);
   const float* const mults = array_->multipliers().data();
-  BandScratch& sc = scratch_;
+  double* FECIM_RESTRICT sum = lanes_.sum() + pos;
+  double* FECIM_RESTRICT sq = lanes_.sq() + pos;
   if (state_live_) {
     // Incremental lanes: the +1 pass reads the run's +1-bank sums, the -1
     // pass the slot totals minus them, and each other flipped row with a
@@ -339,31 +436,32 @@ FECIM_ALWAYS_INLINE inline double AnalogCrossbarEngine::read_unit(
     const double* FECIM_RESTRICT plus =
         state_.data() + state_stride_ * array_->column_slot_begin(band, j);
     const double* FECIM_RESTRICT total = plus + present;
+    const double* FECIM_RESTRICT plus_sq = plus + 2 * present;
+    const double* FECIM_RESTRICT total_sq = plus + 3 * present;
     for (std::size_t i = 0; i < present; ++i) {
-      sc.lane_sum[i] = plus[i];
-      sc.lane_sum[present + i] = total[i] - plus[i];
+      sum[i] = plus[i];
+      sum[present + i] = total[i] - plus[i];
     }
-    if (inv.track_sq) {
-      const double* FECIM_RESTRICT plus_sq = plus + 2 * present;
-      const double* FECIM_RESTRICT total_sq = plus + 3 * present;
+    if (inv.track_sq)
       for (std::size_t i = 0; i < present; ++i) {
-        sc.lane_sq[i] = plus_sq[i];
-        sc.lane_sq[present + i] = total_sq[i] - plus_sq[i];
+        sq[i] = plus_sq[i];
+        sq[present + i] = total_sq[i] - plus_sq[i];
       }
-    }
     const auto& rows = array_->bands()[band];
+    const std::size_t base = array_->column_slot_begin(band, j);
+    const std::uint8_t plus_slots = plane_slots_[band * num_spins() + j];
+    const std::uint32_t* cells =
+        workspace_.pair_cell.data() + fi * flips.size();
     for (std::size_t other = 0; other < flips.size(); ++other) {
       const auto f = flips[other];
       if (other == fi || f < rows.row_begin || f >= rows.row_end) continue;
-      const std::uint32_t k = find_cell(view.rows, range.begin, range.end, f);
-      if (k == range.end) continue;
+      const std::uint32_t k = cells[other];
+      if (k == kNoCell) continue;
       const std::size_t lane0 = spins[f] > 0 ? 0 : present;
-      move_cell<false>(
-          sc.lane_sum + lane0, inv.track_sq ? sc.lane_sq + lane0 : nullptr,
-          src, mults + (view.first_entry + k) * bits,
-          view.magnitudes[k] < 0 ? static_cast<std::uint32_t>(bits) : 0,
-          static_cast<std::uint32_t>(bits), inv.square_grid,
-          inv.inv_square_grid);
+      move_plane(sum + lane0, inv.track_sq ? sq + lane0 : nullptr, base,
+                 present, plus_slots, view.magnitudes[k] < 0 ? 1u : 0u,
+                 mults + (view.first_entry + k) * bits, bits, -1.0,
+                 inv.square_grid, inv.inv_square_grid);
     }
   } else {
     // Sweep lanes: the unit's cells accumulated per bank, then a gather of
@@ -373,34 +471,81 @@ FECIM_ALWAYS_INLINE inline double AnalogCrossbarEngine::read_unit(
     // select-and-multiply form, so skipping them outright leaves every
     // (nonnegative) accumulator bit-identical to the filtered per-segment
     // walk of the reference kernel.
-    accumulate_banks(view, range, spins, workspace_.flip_mask.data(), mults,
-                     bits, inv.track_sq, inv.inv_square_grid, sc.nsum,
-                     sc.nsq);
+    SweepScratch& sc = scratch_;
+    accumulate_banks(view, array_->column_band_cells(band, j), spins,
+                     workspace_.flip_mask.data(), mults, bits, inv.track_sq,
+                     inv.inv_square_grid, sc.nsum, sc.nsq);
     const std::size_t slots = 2 * bits;
     for (std::size_t i = 0; i < present; ++i) {
-      sc.lane_sum[i] = sc.nsum[src[i]];
-      sc.lane_sum[present + i] = sc.nsum[slots + src[i]];
+      sum[i] = sc.nsum[src[i]];
+      sum[present + i] = sc.nsum[slots + src[i]];
     }
     if (inv.track_sq)
       for (std::size_t i = 0; i < present; ++i) {
-        sc.lane_sq[i] = sc.nsq[src[i]] * inv.square_grid;
-        sc.lane_sq[present + i] = sc.nsq[slots + src[i]] * inv.square_grid;
+        sq[i] = sc.nsq[src[i]] * inv.square_grid;
+        sq[present + i] = sc.nsq[slots + src[i]] * inv.square_grid;
       }
   }
-  // Association mirrors the per-cell form: (i_on * att) * sum and
-  // ((rel * i_on) * att) * sqrt(sq_sum), keeping results bit-identical.
-  const double att = band_attenuation_[band];
-  const double current_scale = inv.i_on * att;
-  const double noise_scale = (inv.read_noise_rel * inv.i_on) * att;
-  const double noise_var_scale = noise_scale * noise_scale;
-  const double* wgt = array_->column_slot_weights(band, j).data();
-  return inv.track_sq
-             ? convert_unit<true>(sc.lane_sum, sc.lane_sq, z, wgt, present,
-                                  current_scale, noise_var_scale,
-                                  inv.adc_variance, inv.sigma_adc, adc_)
-             : convert_unit<false>(sc.lane_sum, sc.lane_sq, z, wgt, present,
-                                   current_scale, noise_var_scale,
-                                   inv.adc_variance, inv.sigma_adc, adc_);
+  if (array_->num_bands() == 1) return;
+  // A tiled read converts every band's lanes in one kernel call at unit
+  // scale: each unit applies its band's factors here, forming the exact
+  // products the kernel would (and 1.0 * x == x in the kernel).
+  const BandScale scale =
+      band_scale(inv.i_on, inv.read_noise_rel, band_attenuation_[band]);
+  for (std::size_t i = 0; i < 2 * present; ++i)
+    sum[i] = scale.current * sum[i];
+  if (inv.track_sq)
+    for (std::size_t i = 0; i < 2 * present; ++i)
+      sq[i] = scale.noise_var * sq[i];
+}
+
+void AnalogCrossbarEngine::convert(const UnitInvariants& inv,
+                                   std::size_t count) {
+  const double* z = window_draws(count);
+  // One band scales in the kernel; tiled units were scaled at assembly.
+  const BandScale scale =
+      array_->num_bands() == 1
+          ? band_scale(inv.i_on, inv.read_noise_rel, band_attenuation_[0])
+          : BandScale{};
+  LaneBuffer& l = lanes_;
+  if (inv.track_sq)
+    convert_lanes<true>(l.sum(), l.sq(), z, l.code(), count, scale.current,
+                        scale.noise_var, inv.adc_variance, inv.sigma_adc,
+                        adc_);
+  else
+    convert_lanes<false>(l.sum(), l.sq(), z, l.code(), count, scale.current,
+                         scale.noise_var, inv.adc_variance, inv.sigma_adc,
+                         adc_);
+}
+
+void AnalogCrossbarEngine::locate_pair_cells(
+    std::span<const std::uint32_t> flips, std::size_t bits) {
+  auto& ws = workspace_;
+  const std::size_t count = flips.size();
+  if (ws.pair_cell.size() < count * count) ws.pair_cell.resize(count * count);
+  const std::uint16_t* const mirror = array_->mirror_offsets().data();
+  const float* const mults = array_->multipliers().data();
+  for (std::size_t a = 0; a < count; ++a) {
+    const auto& column_a = ws.flip_view[a];
+    for (std::size_t b = a + 1; b < count; ++b) {
+      // Row flips[b] in column flips[a]; its mirror is row flips[a] in
+      // column flips[b], which the symmetric pattern guarantees.
+      const std::size_t k = find_cell(column_a.rows, flips[b]);
+      if (k == column_a.rows.size()) {
+        ws.pair_cell[a * count + b] = kNoCell;
+        ws.pair_cell[b * count + a] = kNoCell;
+        continue;
+      }
+      const std::uint32_t mirrored = mirror[column_a.first_entry + k];
+      ws.pair_cell[a * count + b] = static_cast<std::uint32_t>(k);
+      ws.pair_cell[b * count + a] = mirrored;
+      // Both cells' multiplier rows are scattered over the array; the
+      // assembly subtracts them after the lane copies.
+      __builtin_prefetch(mults + (column_a.first_entry + k) * bits);
+      __builtin_prefetch(mults +
+                         (ws.flip_view[b].first_entry + mirrored) * bits);
+    }
+  }
 }
 
 EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
@@ -411,8 +556,7 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   FECIM_EXPECTS(spins.size() == mapping.num_spins());
 
   const UnitInvariants inv = unit_invariants(signal);
-  const auto bands = array_->bands();
-  const std::size_t num_bands = bands.size();
+  const std::size_t num_bands = array_->num_bands();
 
   EincResult result;
   EngineTrace& trace = result.trace;
@@ -420,69 +564,84 @@ EincResult AnalogCrossbarEngine::evaluate(std::span<const ising::Spin> spins,
   trace.tile_ir_attenuation = band_attenuation_[0];
 
   auto& ws = workspace_;
-  for (auto& acc : ws.band_acc) acc = 0.0;
   if (incremental_ && !state_live_) build_incremental_state(spins);
   // The incremental readout moves each flipped row out of its bank once.
   mark_flips(flips, incremental_);
 
-  // Readout over independent (flip, band) units.
-  //
-  // Serial prelude: ledger accounting, the canonical conversion-index
-  // layout (flip-major, then band, then polarity/bit/plane -- exactly the
-  // cursor order of the reference kernel), and ONE widened ziggurat fill
-  // covering every conversion of the evaluation.  Each keyed draw is a
-  // pure function of its absolute conversion index, so one evaluation-wide
-  // fill equals the historical per-(flip, band) fills element-wise, and
-  // any regrouping of the units below sees identical noise.
+  // Prelude: ledger accounting and the call's lane count.
   const std::size_t flip_count = flips.size();
-  if (ws.conv_base.size() < flip_count * num_bands)
-    ws.conv_base.resize(flip_count * num_bands);
   if (ws.flip_view.size() < flip_count) {
     ws.flip_view.resize(flip_count);
     ws.flip_q.resize(flip_count);
   }
-  std::size_t total_conversions = 0;
+  lanes_.reserve(flip_count * max_column_lanes_);
+  std::size_t lanes = 0;
   for (std::size_t fi = 0; fi < flip_count; ++fi) {
     const auto j = flips[fi];
-    ws.flip_view[fi] = array_->column(j);
+    const auto view = array_->column(j);
+    ws.flip_view[fi] = view;
+    // The sweep reads every cell of the column: its rows, magnitudes and
+    // multiplier rows are contiguous, so start loading them all before the
+    // first unit waits on them.
+    if (!state_live_) {
+      prefetch_bytes(view.rows.data(), view.rows.size_bytes());
+      prefetch_bytes(view.magnitudes.data(), view.magnitudes.size_bytes());
+      prefetch_bytes(array_->multipliers().data() + view.first_entry * inv.bits,
+                     view.rows.size() * inv.bits * sizeof(float));
+    }
     // sigma_c_j = -sigma_j (the flipped value); its sign selects the
     // DL-polarity pass this column participates in.
-    ws.flip_q[fi] = -static_cast<int>(spins[j]);
+    ws.flip_q[fi] = -static_cast<double>(spins[j]);
     const std::uint32_t total_present =
         array_->column_total_present_segments(j);
     trace.tile_activations += array_->column_active_bands(j);
     trace.partial_sum_updates += 2 * static_cast<std::size_t>(
         total_present - array_->column_union_present_segments(j));
     trace.adc_conversions += 2 * static_cast<std::size_t>(total_present);
-    for (std::size_t band = 0; band < num_bands; ++band) {
-      ws.conv_base[fi * num_bands + band] =
-          static_cast<std::uint32_t>(total_conversions);
-      total_conversions +=
-          2 * static_cast<std::size_t>(
-                  array_->column_present_segments(band, j));
-    }
+    lanes += 2 * static_cast<std::size_t>(total_present);
+    // The units' bank sums sit at scattered offsets of the run state: start
+    // loading them before the assembly reads them.
+    if (state_live_)
+      for (std::size_t band = 0; band < num_bands; ++band)
+        if (array_->column_present_segments(band, j) != 0)
+          __builtin_prefetch(state_.data() + state_stride_ *
+                                                 array_->column_slot_begin(
+                                                     band, j));
   }
-  if (ws.z.size() < total_conversions) ws.z.resize(total_conversions);
-  noise_.conversion.normal_fill(noise_.next_conversion,
-                                {ws.z.data(), total_conversions});
-  noise_.next_conversion += total_conversions;
+  if (state_live_ && flip_count > 1) locate_pair_cells(flips, inv.bits);
 
-  // Band-major walk over the units.  Every weighted-code term, unit sum
-  // and band_acc partial is an exact integer well under 2^53, so any
-  // association here matches the historical int64 shift-and-add
-  // bit-for-bit.
-  for (std::size_t band = 0; band < num_bands; ++band) {
-    for (std::size_t fi = 0; fi < flip_count; ++fi) {
+  // Lane assembly in the canonical cursor order -- flip, then band, then
+  // [pass][slot], the order of the reference kernel's draws -- then one
+  // kernel call over the lanes and their draws.
+  std::size_t pos = 0;
+  for (std::size_t fi = 0; fi < flip_count; ++fi) {
+    for (std::size_t band = 0; band < num_bands; ++band) {
       const auto src = array_->column_slot_src(band, flips[fi]);
       if (src.empty()) continue;  // tile stores nothing: no conversion
-      ws.band_acc[band] +=
-          static_cast<double>(ws.flip_q[fi]) *
-          read_unit(inv, spins.data(), flips, fi, band, ws.flip_view[fi], src,
-                    ws.z.data() + ws.conv_base[fi * num_bands + band]);
+      assemble_unit(inv, spins.data(), flips, fi, band, ws.flip_view[fi], src,
+                    pos);
+      pos += 2 * src.size();
     }
   }
-
   for (const auto f : flips) ws.flip_mask[f] = 0;
+  convert(inv, lanes);
+
+  // Each unit's weighted code sum, signed by its column polarity q, into
+  // its band.  Every weighted code and code sum is an exact integer well
+  // under 2^53, so this grouping matches the historical per-unit int64
+  // shift-and-add bit for bit.
+  for (auto& acc : ws.band_acc) acc = 0.0;
+  pos = 0;
+  for (std::size_t fi = 0; fi < flip_count; ++fi) {
+    for (std::size_t band = 0; band < num_bands; ++band) {
+      const auto weight = array_->column_slot_weights(band, flips[fi]);
+      if (weight.empty()) continue;
+      ws.band_acc[band] += ws.flip_q[fi] * unit_code_sum(lanes_.code() + pos,
+                                                         weight.data(),
+                                                         weight.size());
+      pos += 2 * weight.size();
+    }
+  }
 
   // Fixed digital calibration: codes carry I_on(vbg) * attenuation / LSB;
   // dividing by I_on(vbg_max) * attenuation re-expresses the result as
@@ -517,6 +676,7 @@ void AnalogCrossbarEngine::evaluate_columns(std::span<const ising::Spin> spins,
   const std::size_t num_bands = array_->num_bands();
   const double f_hw = inv.i_on / i_on_max_;
   auto& ws = workspace_;
+  lanes_.reserve(std::max(kDrawWindow, max_column_lanes_));
 
   // The per-column events of evaluate(spins, {j}, signal), summed here and
   // merged once.
@@ -527,29 +687,33 @@ void AnalogCrossbarEngine::evaluate_columns(std::span<const ising::Spin> spins,
   trace.row_drives = 2 * (n - 1) * columns;
   trace.column_drives = 2 * static_cast<std::uint64_t>(inv.bits) *
                         static_cast<std::uint64_t>(mapping.planes()) * columns;
+  // A single flipped column occupies one MUX slot (slots_for_flips).
+  trace.mux_slot_cycles = 2 * columns;
 
-  std::size_t j = 0;
-  while (j < raw_vmv.size()) {
-    // One keyed fill per block of whole columns, in cursor order (column,
-    // then band, then [pass][slot]).  Draws are pure functions of their
-    // absolute index, so the blocking is value-free (PERF.md invariant 7).
-    std::size_t end = j;
-    std::size_t draws = 0;
+  std::size_t first = 0;
+  while (first < raw_vmv.size()) {
+    // A block of whole columns that ends where the draw window does, so it
+    // converts against its draws in place; a column that straddles the
+    // window's end is a block of its own.
+    if (noise_.next_conversion == window_end_) refill_window();
+    const auto room =
+        static_cast<std::size_t>(window_end_ - noise_.next_conversion);
+    std::size_t end = first;
+    std::size_t lanes = 0;
     do {
-      draws += 2 * static_cast<std::size_t>(
+      lanes += 2 * static_cast<std::size_t>(
                        array_->column_total_present_segments(end));
       ++end;
     } while (end < raw_vmv.size() &&
-             draws + 2 * static_cast<std::size_t>(
+             lanes + 2 * static_cast<std::size_t>(
                              array_->column_total_present_segments(end)) <=
-                 kColumnDrawBlock);
-    if (ws.z.size() < draws) ws.z.resize(draws);
-    noise_.conversion.normal_fill(noise_.next_conversion,
-                                  {ws.z.data(), draws});
-    noise_.next_conversion += draws;
+                 room);
 
-    const double* z = ws.z.data();
-    for (; j < end; ++j) {
+    // Assembly in cursor order (column, then band, then [pass][slot]).  The
+    // sweep skips the flipped row (a diagonal cell); the bank sums subtract
+    // nothing, since a single flipped row has no other cell in the unit.
+    std::size_t pos = 0;
+    for (std::size_t j = first; j < end; ++j) {
       const auto column = static_cast<std::uint32_t>(j);
       const std::span<const std::uint32_t> flip(&column, 1);
       const std::uint32_t total_present =
@@ -558,29 +722,37 @@ void AnalogCrossbarEngine::evaluate_columns(std::span<const ising::Spin> spins,
       trace.partial_sum_updates += 2 * static_cast<std::size_t>(
           total_present - array_->column_union_present_segments(j));
       trace.adc_conversions += 2 * static_cast<std::size_t>(total_present);
-      trace.mux_slot_cycles += 2 * mapping.slots_for_flips(flip);
-
-      // The sweep skips the flipped row (a diagonal cell); the bank sums
-      // subtract nothing, since a single flipped row has no other cell in
-      // the unit.
-      const auto view = array_->column(j);
-      const auto q = static_cast<double>(-static_cast<int>(spins[j]));
+      // Only the sweep reads the column's cells.
+      const auto view = state_live_ ? ProgrammedArray::ColumnView{}
+                                    : array_->column(j);
       ws.flip_mask[j] = 1;
-      for (auto& acc : ws.band_acc) acc = 0.0;
       for (std::size_t band = 0; band < num_bands; ++band) {
         const auto src = array_->column_slot_src(band, j);
         if (src.empty()) continue;
-        ws.band_acc[band] +=
-            q * read_unit(inv, spins.data(), flip, 0, band, view, src, z);
-        z += 2 * src.size();
+        assemble_unit(inv, spins.data(), flip, 0, band, view, src, pos);
+        pos += 2 * src.size();
       }
       ws.flip_mask[j] = 0;
+    }
+    convert(inv, lanes);
 
+    // Each column's unit code sums, signed and calibrated as in evaluate().
+    pos = 0;
+    for (std::size_t j = first; j < end; ++j) {
+      const double q = -static_cast<double>(spins[j]);
       double e_inc = 0.0;
-      for (std::size_t band = 0; band < num_bands; ++band)
-        e_inc += ws.band_acc[band] * band_to_einc_[band];
+      for (std::size_t band = 0; band < num_bands; ++band) {
+        const auto weight = array_->column_slot_weights(band, j);
+        if (weight.empty()) continue;
+        e_inc += q *
+                 unit_code_sum(lanes_.code() + pos, weight.data(),
+                               weight.size()) *
+                 band_to_einc_[band];
+        pos += 2 * weight.size();
+      }
       raw_vmv[j] = f_hw > 0.0 ? e_inc / f_hw : 0.0;
     }
+    first = end;
   }
   merge_trace(ledger, trace);
 }

@@ -818,6 +818,49 @@ TEST(FaultTolerance, EveryAnnealerKindRunsThroughTheCli) {
     EXPECT_EQ(row.substr(second + 1, third - second - 1), c.annealer) << row;
     EXPECT_EQ(row.rfind(",ok"), row.size() - 3) << row;
   }
+
+  // The human report's annealer line names what each kind runs with: the
+  // in-situ kinds --flips and the comparator gain, the direct-E kinds their
+  // one-spin baseline moves and no gain, simulated bifurcation neither.
+  const struct {
+    const char* args;
+    const char* expect;
+    const char* absent;
+  } reports[] = {
+      {"--annealer this-work --flips 3 --gain 8", "|F|=3, gain=8.0, k=8",
+       nullptr},
+      {"--annealer this-work-ideal --flips 3", "|F|=3, gain=16.0, k=8",
+       nullptr},
+      {"--annealer cim-fpga --flips 3", "|F|=1, k=8", "gain"},
+      {"--annealer cim-asic --flips 3", "|F|=1, k=8", "gain"},
+      {"--annealer mesa --flips 3", "|F|=1, k=8", "gain"},
+      {"--algorithm sb-ballistic --flips 3", "(1 threads), k=8", "|F|"},
+      {"--algorithm sb-discrete --flips 3", "(1 threads), k=8", "|F|"}};
+  const std::string report = testing::TempDir() + "/fecim_annealer_report.txt";
+  for (const auto& r : reports) {
+    const std::string args = std::string(r.args) +
+                             " --nodes 16 --iterations 200 --runs 2 "
+                             "--threads 1";
+    SCOPED_TRACE(args);
+    std::string err;
+    EXPECT_EQ(run_solver(args, err, report), 0) << err;
+    std::ifstream in(report);
+    std::string line, annealer_line;
+    while (std::getline(in, line))
+      if (line.rfind("annealer   :", 0) == 0) annealer_line = line;
+    ASSERT_FALSE(annealer_line.empty());
+    EXPECT_NE(annealer_line.find(r.expect), std::string::npos)
+        << annealer_line;
+    if (r.absent != nullptr) {
+      EXPECT_EQ(annealer_line.find(r.absent), std::string::npos)
+          << annealer_line;
+    }
+    // Only the in-situ kinds run --flips.
+    if (std::string(r.expect).find("|F|=3") == std::string::npos) {
+      EXPECT_EQ(annealer_line.find("|F|=3"), std::string::npos)
+          << annealer_line;
+    }
+  }
 }
 #endif  // FECIM_SOLVE_PATH
 

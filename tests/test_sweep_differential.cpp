@@ -33,6 +33,13 @@
 // on every raw_vmv, the ledger and the cursor, before and after random
 // drive-change sets.
 //
+// A fourth case drives one long-lived engine through interleaved
+// evaluations, full-field reads, applied flip sets and run restarts, on one
+// band and on short tiles, with reads that straddle the engine's
+// draw-window boundary and reads that need more than a window: every
+// readout matches a fresh engine of the same run and the reference kernel,
+// bit for bit, cursor included.
+//
 // Labeled `differential` (and excluded from the tier-1 fast loop) in
 // CMakeLists.txt; tools/check.sh --sanitize runs it under ASan+UBSan.
 #include <gtest/gtest.h>
@@ -476,6 +483,159 @@ TEST(SweepDifferential, BatchedColumnReadMatchesThePerColumnLoop) {
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(banked, kNumConfigs * 9 / 10);
+}
+
+// ---------------------------------------------------------------------------
+// The draw window across calls and runs.
+// ---------------------------------------------------------------------------
+
+/// True when conversions [before, after) cross a multiple of the engine's
+/// draw window, so the call took draws from two window fills.
+bool straddles_window(std::uint64_t before, std::uint64_t after) {
+  constexpr auto kWindow = crossbar::AnalogCrossbarEngine::kDrawWindow;
+  return after > before && before / kWindow != (after - 1) / kWindow;
+}
+
+/// Drives one engine on a noisy two-plane array with `tiles`, on the bank
+/// sums, through interleaved reads, applied sets and run restarts.  A
+/// full-field read and a wide flip set each need more than one window of
+/// draws.
+void check_draw_window(crossbar::TileShape tiles) {
+  DifferentialConfig cfg = gate_config(96, tiles, 0.03);
+  cfg.weights = problems::WeightScheme::kPlusMinusOne;
+  const auto p = program(cfg, 8.0);
+  const auto& array = p.array;
+  ASSERT_TRUE(array->supports_incremental_readout());
+  const std::size_t n = p.model->num_spins();
+  const double i_on_max = array->on_current(array->device_params().vbg_max);
+
+  // One engine lives through every call and run; a fresh one starts at each
+  // run and takes the run's calls too; the reference sees every readout.
+  crossbar::AnalogCrossbarEngine engine(array, p.config.analog);
+  engine.enable_incremental_readout();
+  util::Rng rng(0xd4a3ULL);
+  auto spins = ising::random_spins(n, rng);
+  std::size_t straddling_reads = 0, straddling_column_reads = 0,
+              wide_reads = 0, mid_window_restarts = 0,
+              first_window_restarts = 0;
+  std::vector<double> from_engine(n), from_fresh(n);
+  for (std::uint64_t run = 0; run < 4; ++run) {
+    const std::uint64_t seed = 0x5eed0ULL + run;
+    const std::uint64_t cursor = engine.readout_noise().next_conversion;
+    if (cursor % crossbar::AnalogCrossbarEngine::kDrawWindow != 0)
+      ++mid_window_restarts;
+    // A restart inside the run's first window finds the cursor, reset to 0,
+    // still inside the previous run's window: only the drop keeps the next
+    // run off the previous run's draws.
+    if (run > 0 && cursor < crossbar::AnalogCrossbarEngine::kDrawWindow)
+      ++first_window_restarts;
+    engine.begin_run(seed);
+    crossbar::AnalogCrossbarEngine fresh(array, p.config.analog);
+    fresh.enable_incremental_readout();
+    fresh.begin_run(seed);
+    auto noise_ref = crossbar::ReadoutNoise::for_run(seed);
+    // The first run is one short evaluation, inside one window.
+    const int steps = run == 0 ? 1 : 60;
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE(::testing::Message() << "run " << run << " step " << step);
+      const crossbar::AnnealSignal signal{
+          rng.uniform01(), rng.uniform(0.3, array->device_params().vbg_max)};
+      const std::uint64_t before = engine.readout_noise().next_conversion;
+      const auto op = run == 0 ? 0 : rng.uniform_index(8);
+      if (op < 4 || op == 7) {
+        // A short flip set, or (op 7) one wide enough to need more than a
+        // window of draws on its own.
+        ising::FlipSet flips = propose(*p.model, rng);
+        std::size_t draws = 0;
+        for (const auto f : flips)
+          draws += 2 * array->column_total_present_segments(f);
+        while (op == 7 &&
+               draws <= crossbar::AnalogCrossbarEngine::kDrawWindow) {
+          const auto next = static_cast<std::uint32_t>(rng.uniform_index(n));
+          if (std::find(flips.begin(), flips.end(), next) != flips.end())
+            continue;
+          flips.push_back(next);
+          draws += 2 * array->column_total_present_segments(next);
+        }
+        const auto a = engine.evaluate(spins, flips, signal);
+        const auto b = fresh.evaluate(spins, flips, signal);
+        const auto r = crossbar::reference::analog_evaluate(
+            *array, engine.adc(), engine.band_attenuations(), i_on_max, spins,
+            flips, signal, noise_ref);
+        for (const auto* other : {&b, &r}) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a.e_inc),
+                    std::bit_cast<std::uint64_t>(other->e_inc));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a.raw_vmv),
+                    std::bit_cast<std::uint64_t>(other->raw_vmv));
+          EXPECT_EQ(a.trace.adc_conversions, other->trace.adc_conversions);
+          EXPECT_EQ(a.trace.partial_sum_updates,
+                    other->trace.partial_sum_updates);
+          EXPECT_EQ(a.trace.tile_activations, other->trace.tile_activations);
+          EXPECT_EQ(a.trace.mux_slot_cycles, other->trace.mux_slot_cycles);
+        }
+        if (draws > crossbar::AnalogCrossbarEngine::kDrawWindow) ++wide_reads;
+        if (straddles_window(before, engine.readout_noise().next_conversion))
+          ++straddling_reads;
+      } else if (op < 6) {
+        // A full-field read, one reference readout per column.
+        crossbar::CostLedger engine_ledger, fresh_ledger, reference_ledger;
+        engine.evaluate_columns(spins, signal, from_engine, engine_ledger);
+        fresh.evaluate_columns(spins, signal, from_fresh, fresh_ledger);
+        ising::FlipSet probe(1, 0);
+        for (std::size_t j = 0; j < n; ++j) {
+          probe[0] = static_cast<std::uint32_t>(j);
+          const auto r = crossbar::reference::analog_evaluate(
+              *array, engine.adc(), engine.band_attenuations(), i_on_max,
+              spins, probe, signal, noise_ref);
+          crossbar::merge_trace(reference_ledger, r.trace);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(from_engine[j]),
+                    std::bit_cast<std::uint64_t>(r.raw_vmv))
+              << "column " << j;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(from_fresh[j]),
+                    std::bit_cast<std::uint64_t>(r.raw_vmv))
+              << "column " << j;
+        }
+        expect_same_ledger(engine_ledger, reference_ledger);
+        expect_same_ledger(fresh_ledger, reference_ledger);
+        if (straddles_window(before, engine.readout_noise().next_conversion))
+          ++straddling_column_reads;
+      } else {
+        // An applied flip set moves both engines' bank sums alike.
+        const auto flips = propose(*p.model, rng);
+        ising::flip_in_place(spins, flips);
+        engine.on_flips_applied(spins, flips);
+        fresh.on_flips_applied(spins, flips);
+        const auto live = engine.incremental_state();
+        const auto rebuilt = fresh.incremental_state();
+        EXPECT_TRUE(std::equal(live.begin(), live.end(), rebuilt.begin(),
+                               rebuilt.end()));
+      }
+      EXPECT_EQ(engine.readout_noise().next_conversion,
+                noise_ref.next_conversion);
+      EXPECT_EQ(fresh.readout_noise().next_conversion,
+                noise_ref.next_conversion);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // The schedule must cross window boundaries inside both kinds of read,
+  // need more than a window in one read, and restart runs mid-window, once
+  // inside the first window.
+  EXPECT_GT(straddling_reads, 0u);
+  EXPECT_GT(straddling_column_reads, 0u);
+  EXPECT_GT(wide_reads, 0u);
+  EXPECT_GT(mid_window_restarts, 1u);
+  EXPECT_EQ(first_window_restarts, 1u);
+}
+
+TEST(SweepDifferential, DrawWindowIsInvisibleAcrossCallsAndRuns) {
+  // One band keeps a read's lanes in cursor order, so it converts against
+  // its draws in place in the window; short tiles group the lanes by band
+  // and copy the draws beside them.
+  for (const auto tiles : {crossbar::TileShape{}, crossbar::TileShape{6, 0}}) {
+    SCOPED_TRACE(::testing::Message() << "tile rows " << tiles.rows);
+    check_draw_window(tiles);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

@@ -712,11 +712,33 @@ void print_report(const core::ProblemInstance& problem,
   std::printf("instance   : %s [%s] (%s; %zu spins)\n", problem.name.c_str(),
               problem.family.c_str(), problem.summary.c_str(),
               problem.model->num_spins());
+  // What the kind runs with: the in-situ kinds flip --flips spins per
+  // iteration under the comparator gain, the direct-E kinds flip
+  // StandardSetup::baseline_flips under a plain Metropolis test, and
+  // simulated bifurcation reads every spin each step with neither.
+  char dynamics[64] = "";
+  switch (outcome.kind) {
+    case core::AnnealerKind::kThisWork:
+    case core::AnnealerKind::kThisWorkIdeal:
+      std::snprintf(dynamics, sizeof dynamics, "|F|=%zu, gain=%.1f, ",
+                    outcome.setup.flips_per_iteration,
+                    outcome.setup.acceptance_gain);
+      break;
+    case core::AnnealerKind::kCimFpga:
+    case core::AnnealerKind::kCimAsic:
+    case core::AnnealerKind::kMesa:
+      std::snprintf(dynamics, sizeof dynamics, "|F|=%zu, ",
+                    outcome.setup.baseline_flips);
+      break;
+    case core::AnnealerKind::kSbBallistic:
+    case core::AnnealerKind::kSbDiscrete:
+      break;
+  }
   std::printf("annealer   : %s, %zu iterations x %zu runs (%zu threads), "
-              "|F|=%zu, gain=%.1f, k=%d bits\n",
+              "%sk=%d bits\n",
               core::annealer_kind_name(outcome.kind),
               outcome.setup.iterations, options.runs, outcome.threads,
-              options.flips, outcome.setup.acceptance_gain, options.bits);
+              dynamics, options.bits);
   std::printf("algorithm  : %s dynamics, %s initialization\n",
               options.algorithm.c_str(), options.init.c_str());
   if (result.objective.empty()) {
