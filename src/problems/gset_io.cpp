@@ -9,11 +9,8 @@
 
 namespace fecim::problems {
 
-namespace {
-
-template <typename Source>
-Graph read_gset_impl(Source&& in, const std::string& context) {
-  io::LineParser parser(in, context);
+Graph read_gset(std::string_view text, const std::string& context) {
+  io::LineParser parser(text, context);
   if (!parser.next())
     throw contract_error(context + ": empty input (expected '<n> <m>')");
   parser.require_fields(2, 2);
@@ -41,21 +38,8 @@ Graph read_gset_impl(Source&& in, const std::string& context) {
   return graph;
 }
 
-}  // namespace
-
-Graph read_gset(std::istream& in, const std::string& context) {
-  return read_gset_impl(in, context);
-}
-
-Graph read_gset(std::string_view text, const std::string& context) {
-  return read_gset_impl(text, context);
-}
-
 Graph read_gset_file(const std::string& path) {
-  return io::read_file(path, "gset",
-                       [](auto&& in, const std::string& context) {
-                         return read_gset_impl(in, context);
-                       });
+  return read_gset(io::read_file(path, "gset").view(), path);
 }
 
 void write_gset(const Graph& graph, std::ostream& out) {

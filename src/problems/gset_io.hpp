@@ -4,10 +4,12 @@
 //                                   defaults to 1)
 //
 // '#' and '%' comment lines and blank lines are skipped anywhere.  Parsing
-// runs on the shared ingestion core (problems/instance_io.hpp): malformed
-// headers, out-of-range or self-loop edges, and truncated edge lists all
-// raise fecim::contract_error naming the offending line.  Parallel edges
-// merge by weight summation (O(1) per edge via the graph's edge index).
+// runs on the shared ingestion core (problems/instance_io.hpp): read_gset
+// parses text in memory, read_gset_file the text io::read_file returns
+// (mapped, or buffered for pipes), and malformed headers, out-of-range or
+// self-loop edges, and truncated edge lists all raise
+// fecim::contract_error naming the offending line.  Parallel edges merge
+// by weight summation (O(1) per edge via the graph's edge index).
 //
 // write_gset emits weights at max_digits10 precision so a write/read
 // round-trip is bit-lossless.
@@ -21,7 +23,6 @@
 
 namespace fecim::problems {
 
-Graph read_gset(std::istream& in, const std::string& context = "gset");
 Graph read_gset(std::string_view text, const std::string& context = "gset");
 Graph read_gset_file(const std::string& path);
 

@@ -9,7 +9,6 @@
 #include <limits>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <unordered_map>
 
 #include "util/assert.hpp"
@@ -61,12 +60,36 @@ MappedFile::~MappedFile() {
   if (data_ != nullptr) ::munmap(data_, size_);
 }
 
-#else  // no mmap on this platform: read_file always streams
+#else  // no mmap on this platform: read_file always buffers
 
 bool MappedFile::open(const std::string&) { return false; }
 MappedFile::~MappedFile() = default;
 
 #endif
+
+FileText read_file(const std::string& path, const char* what) {
+  FileText text;
+  if (text.mapped_.open(path)) return text;
+  // Unbuffered, so the stream allocates no buffer of its own: reading a
+  // short input costs little more than its bytes.
+  std::ifstream in;
+  in.rdbuf()->pubsetbuf(nullptr, 0);
+  in.open(path, std::ios::binary);
+  if (!in) throw contract_error(std::string(what) + ": cannot open " + path);
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got > kMaxBufferedBytes - text.buffer_.size())
+      throw contract_error(path + ": input exceeds " +
+                           std::to_string(kMaxBufferedBytes >> 20) +
+                           " MiB, the limit for a file that cannot be "
+                           "mapped");
+    text.buffer_.append(chunk, got);
+  }
+  if (in.bad())
+    throw contract_error(std::string(what) + ": cannot read " + path);
+  return text;
+}
 
 // ---------------------------------------------------------------------------
 // LineParser
@@ -222,17 +245,10 @@ void LineParser::fail_truncated(const std::string& expected) const {
 // DIMACS coloring (.col)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Each reader's body is a template over the line source (std::istream& or
-// std::string_view): io::LineParser has a constructor for either, so the
-// stream and mmap ingestion paths share one parse -- their behavioral
-// identity is by construction, not by parallel maintenance.
-template <typename Source>
-Graph read_dimacs_coloring_impl(Source&& in, const std::string& context) {
+Graph read_dimacs_coloring(std::string_view text, const std::string& context) {
   // DIMACS comments are "c ..." lines; tolerate '#'/'%' too so the shared
   // fixture conventions work across every format.
-  io::LineParser parser(in, context, "c#%");
+  io::LineParser parser(text, context, "c#%");
   if (!parser.next())
     throw contract_error(context + ": empty input (expected 'p edge <n> <m>')");
   if (parser.field(0) != "p" || parser.fields() < 4 ||
@@ -268,32 +284,17 @@ Graph read_dimacs_coloring_impl(Source&& in, const std::string& context) {
   return graph;
 }
 
-}  // namespace
-
-Graph read_dimacs_coloring(std::istream& in, const std::string& context) {
-  return read_dimacs_coloring_impl(in, context);
-}
-
-Graph read_dimacs_coloring(std::string_view text, const std::string& context) {
-  return read_dimacs_coloring_impl(text, context);
-}
-
 Graph read_dimacs_coloring_file(const std::string& path) {
-  return io::read_file(path, "dimacs",
-                        [](auto&& in, const std::string& context) {
-                          return read_dimacs_coloring_impl(in, context);
-                        });
+  return read_dimacs_coloring(io::read_file(path, "dimacs").view(), path);
 }
 
 // ---------------------------------------------------------------------------
 // Knapsack
 // ---------------------------------------------------------------------------
 
-namespace {
-
-template <typename Source>
-KnapsackInstance read_knapsack_impl(Source&& in, const std::string& context) {
-  io::LineParser parser(in, context);
+KnapsackInstance read_knapsack(std::string_view text,
+                               const std::string& context) {
+  io::LineParser parser(text, context);
   if (!parser.next())
     throw contract_error(context +
                          ": empty input (expected '<num_items> <capacity>')");
@@ -325,22 +326,8 @@ KnapsackInstance read_knapsack_impl(Source&& in, const std::string& context) {
   return instance;
 }
 
-}  // namespace
-
-KnapsackInstance read_knapsack(std::istream& in, const std::string& context) {
-  return read_knapsack_impl(in, context);
-}
-
-KnapsackInstance read_knapsack(std::string_view text,
-                               const std::string& context) {
-  return read_knapsack_impl(text, context);
-}
-
 KnapsackInstance read_knapsack_file(const std::string& path) {
-  return io::read_file(path, "knapsack",
-                        [](auto&& in, const std::string& context) {
-                          return read_knapsack_impl(in, context);
-                        });
+  return read_knapsack(io::read_file(path, "knapsack").view(), path);
 }
 
 void write_knapsack(const KnapsackInstance& instance, std::ostream& out) {
@@ -356,12 +343,9 @@ void write_knapsack(const KnapsackInstance& instance, std::ostream& out) {
 // Number partitioning
 // ---------------------------------------------------------------------------
 
-namespace {
-
-template <typename Source>
-std::vector<double> read_partition_impl(Source&& in,
-                                        const std::string& context) {
-  io::LineParser parser(in, context);
+std::vector<double> read_partition(std::string_view text,
+                                   const std::string& context) {
+  io::LineParser parser(text, context);
   std::vector<double> numbers;
   while (parser.next()) {
     for (std::size_t i = 0; i < parser.fields(); ++i) {
@@ -376,34 +360,17 @@ std::vector<double> read_partition_impl(Source&& in,
   return numbers;
 }
 
-}  // namespace
-
-std::vector<double> read_partition(std::istream& in,
-                                   const std::string& context) {
-  return read_partition_impl(in, context);
-}
-
-std::vector<double> read_partition(std::string_view text,
-                                   const std::string& context) {
-  return read_partition_impl(text, context);
-}
-
 std::vector<double> read_partition_file(const std::string& path) {
-  return io::read_file(path, "partition",
-                        [](auto&& in, const std::string& context) {
-                          return read_partition_impl(in, context);
-                        });
+  return read_partition(io::read_file(path, "partition").view(), path);
 }
 
 // ---------------------------------------------------------------------------
 // TSP coordinate list
 // ---------------------------------------------------------------------------
 
-namespace {
-
-template <typename Source>
-TspInstance read_tsp_coords_impl(Source&& in, const std::string& context) {
-  io::LineParser parser(in, context);
+TspInstance read_tsp_coords(std::string_view text,
+                            const std::string& context) {
+  io::LineParser parser(text, context);
   if (!parser.next())
     throw contract_error(context + ": empty input (expected '<num_cities>')");
   parser.require_fields(1, 1);
@@ -436,22 +403,8 @@ TspInstance read_tsp_coords_impl(Source&& in, const std::string& context) {
   return instance;
 }
 
-}  // namespace
-
-TspInstance read_tsp_coords(std::istream& in, const std::string& context) {
-  return read_tsp_coords_impl(in, context);
-}
-
-TspInstance read_tsp_coords(std::string_view text,
-                            const std::string& context) {
-  return read_tsp_coords_impl(text, context);
-}
-
 TspInstance read_tsp_coords_file(const std::string& path) {
-  return io::read_file(path, "tsp",
-                        [](auto&& in, const std::string& context) {
-                          return read_tsp_coords_impl(in, context);
-                        });
+  return read_tsp_coords(io::read_file(path, "tsp").view(), path);
 }
 
 // ---------------------------------------------------------------------------
@@ -492,9 +445,10 @@ void split_spec_line(const io::LineParser& parser, std::string& key,
   }
 }
 
-template <typename Source>
-TspInstance read_tsplib_impl(Source&& in, const std::string& context) {
-  io::LineParser parser(in, context);
+}  // namespace
+
+TspInstance read_tsplib(std::string_view text, const std::string& context) {
+  io::LineParser parser(text, context);
 
   std::size_t dimension = 0;
   bool have_dimension = false;
@@ -588,6 +542,12 @@ TspInstance read_tsplib_impl(Source&& in, const std::string& context) {
   return instance;
 }
 
+TspInstance read_tsplib_file(const std::string& path) {
+  return read_tsplib(io::read_file(path, "tsplib").view(), path);
+}
+
+namespace {
+
 /// First significant token decides the format: TSPLIB specification
 /// keywords parse as TSPLIB, anything else as the coordinate list.
 bool sniff_tsplib_head(std::string_view head) {
@@ -599,47 +559,19 @@ bool sniff_tsplib_head(std::string_view head) {
 }
 
 TspInstance read_tsp_any(std::string_view text, const std::string& context) {
-  // Memory source: sniffing re-reads the same view -- no copy at all.
+  // Sniffing re-reads the same view -- no copy at all.
   bool tsplib = false;
   {
     io::LineParser sniff(text, context);
     if (sniff.next()) tsplib = sniff_tsplib_head(sniff.field(0));
   }
-  return tsplib ? read_tsplib_impl(text, context)
-                : read_tsp_coords_impl(text, context);
-}
-
-TspInstance read_tsp_any(std::istream& in, const std::string& context) {
-  // Stream source: buffer once so the sniffed bytes can be re-parsed
-  // (streams don't rewind in general), then hand the buffer to the
-  // zero-copy path.
-  std::stringstream source;
-  source << in.rdbuf();
-  return read_tsp_any(std::string_view(source.view()), context);
+  return tsplib ? read_tsplib(text, context) : read_tsp_coords(text, context);
 }
 
 }  // namespace
 
-TspInstance read_tsplib(std::istream& in, const std::string& context) {
-  return read_tsplib_impl(in, context);
-}
-
-TspInstance read_tsplib(std::string_view text, const std::string& context) {
-  return read_tsplib_impl(text, context);
-}
-
-TspInstance read_tsplib_file(const std::string& path) {
-  return io::read_file(path, "tsplib",
-                        [](auto&& in, const std::string& context) {
-                          return read_tsplib_impl(in, context);
-                        });
-}
-
 TspInstance read_tsp_file(const std::string& path) {
-  return io::read_file(path, "tsp",
-                       [](auto&& in, const std::string& context) {
-                         return read_tsp_any(in, context);
-                       });
+  return read_tsp_any(io::read_file(path, "tsp").view(), path);
 }
 
 }  // namespace fecim::problems

@@ -7,13 +7,13 @@
 // with a fecim::contract_error naming "<context>:<line>" instead of a bare
 // contract crash deep inside a factory.
 //
-// The parser reads from either of two line sources with identical
-// semantics (tests/test_instance_io.cpp pins the differential):
-//   * a std::istream (stdin, pipes, string streams), line-buffered;
-//   * a read-only memory range (io::MappedFile) -- io::read_file mmaps
-//     regular files so multi-million-edge Gset/QPLIB instances tokenize
-//     zero-copy, without materializing the text through stream buffers,
-//     and falls back to the stream path for anything not mappable.
+// Every reader parses one std::string_view.  Its *_file form takes the
+// text from io::read_file, which maps regular files (io::MappedFile) so
+// multi-million-edge Gset/QPLIB instances tokenize zero-copy, and reads
+// anything else -- pipes, /dev/stdin, platforms without mmap -- into a
+// buffer of at most io::kMaxBufferedBytes (tests/test_instance_io.cpp pins
+// that both branches parse and diagnose identically).  LineParser also
+// reads a std::istream line by line, for fecim_solve's --serve job stream.
 //
 // Formats (all: blank lines skipped, '#' and '%' comment lines skipped,
 // fields whitespace-separated):
@@ -33,9 +33,11 @@
 //                             (published TSPLIB instances load unmodified)
 #pragma once
 
-#include <fstream>
+#include <cstddef>
+#include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "problems/graph.hpp"
@@ -49,8 +51,8 @@ namespace io {
 
 /// Read-only memory mapping of a regular file (RAII; unmapped on
 /// destruction).  open() returns false -- instead of throwing -- when the
-/// path is absent, not a regular file, or the mapping fails, so callers can
-/// fall back to stream ingestion; an empty regular file opens successfully
+/// path is absent, not a regular file, or the mapping fails, so read_file
+/// can buffer the input instead; an empty regular file opens successfully
 /// as an empty view without an actual mapping (mmap rejects length 0).
 class MappedFile {
  public:
@@ -58,6 +60,10 @@ class MappedFile {
   ~MappedFile();
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
+  MappedFile(MappedFile&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        view_(std::exchange(other.view_, {})) {}
 
   bool open(const std::string& path);
   std::string_view view() const noexcept { return view_; }
@@ -80,9 +86,11 @@ class LineParser {
  public:
   /// `comment_prefixes`: a line whose first non-space character is listed
   /// here is skipped (e.g. "#%" for Gset-style files, "c#%" for DIMACS).
+  /// Stream source, read one line at a time: fecim_solve's --serve job
+  /// stream, whose lines must run as they arrive.
   LineParser(std::istream& in, std::string context,
              std::string comment_prefixes = "#%");
-  /// Zero-copy source: `text` (e.g. a MappedFile view) must outlive the
+  /// Zero-copy source: `text` (e.g. a read_file view) must outlive the
   /// parser.  Lines split on '\n' exactly like std::getline -- no trailing
   /// newline required, '\r' is ordinary (stripped as whitespace during
   /// tokenization, exactly as the stream path treats it).
@@ -126,40 +134,42 @@ class LineParser {
   std::vector<std::string_view> fields_;
 };
 
-/// Open `path` and hand its content to `reader(source, path)` (the path
-/// doubles as the parser context, so diagnostics read "<path>:<line>: ...").
-/// Regular files arrive as a zero-copy std::string_view over an mmap;
-/// anything else (and platforms without mmap) falls back to a std::istream.
-/// `reader` must therefore accept both source types -- in practice a
-/// generic lambda forwarding to a reader with istream + string_view
-/// overloads.  Throws contract_error "<what>: cannot open <path>" when the
-/// open fails.  One helper so every *_file reader shares the identical
-/// ingestion policy and failure shape.
-template <typename Reader>
-auto read_file(const std::string& path, const char* what,
-               const Reader& reader) {
-  MappedFile mapped;
-  if (mapped.open(path)) return reader(mapped.view(), path);
-  std::ifstream in(path);
-  if (!in)
-    throw contract_error(std::string(what) + ": cannot open " + path);
-  return reader(in, path);
-}
+/// The most read_file buffers from an input it cannot map: it holds such
+/// input whole, so this bounds what one pipe or device can make it
+/// allocate.
+inline constexpr std::size_t kMaxBufferedBytes = std::size_t{256} << 20;
+
+/// A file's text as read_file returns it: a mapping or a buffer.
+class FileText {
+ public:
+  std::string_view view() const noexcept {
+    return buffer_.empty() ? mapped_.view() : std::string_view(buffer_);
+  }
+
+ private:
+  friend FileText read_file(const std::string& path, const char* what);
+  MappedFile mapped_;
+  std::string buffer_;
+};
+
+/// The text of `path`, which the *_file readers also pass as the parser
+/// context, so diagnostics read "<path>:<line>: ...".  Regular files are
+/// mapped; anything else is read into a buffer.  Throws contract_error
+/// "<what>: cannot open <path>" when the open fails, "<what>: cannot read
+/// <path>" on a read error, and "<path>: ..." naming the limit when an
+/// unmappable input exceeds kMaxBufferedBytes.
+FileText read_file(const std::string& path, const char* what);
 
 }  // namespace io
 
 /// DIMACS graph-coloring instance (.col).  Vertices 1-indexed in the file,
 /// 0-indexed in the Graph; duplicate/mirrored "e" lines dedupe (unit weight).
-Graph read_dimacs_coloring(std::istream& in,
-                           const std::string& context = "dimacs");
 Graph read_dimacs_coloring(std::string_view text,
                            const std::string& context = "dimacs");
 Graph read_dimacs_coloring_file(const std::string& path);
 
 /// Knapsack instance: header "<num_items> <capacity>" then one
 /// "<value> <weight>" line per item.
-KnapsackInstance read_knapsack(std::istream& in,
-                               const std::string& context = "knapsack");
 KnapsackInstance read_knapsack(std::string_view text,
                                const std::string& context = "knapsack");
 KnapsackInstance read_knapsack_file(const std::string& path);
@@ -167,16 +177,12 @@ void write_knapsack(const KnapsackInstance& instance, std::ostream& out);
 
 /// Number-partitioning instance: all fields of all significant lines are
 /// the (positive) numbers; at least two required.
-std::vector<double> read_partition(std::istream& in,
-                                   const std::string& context = "partition");
 std::vector<double> read_partition(std::string_view text,
                                    const std::string& context = "partition");
 std::vector<double> read_partition_file(const std::string& path);
 
 /// TSP instance from planar coordinates: "<num_cities>" then one "<x> <y>"
 /// line per city; the distance matrix is Euclidean.
-TspInstance read_tsp_coords(std::istream& in,
-                            const std::string& context = "tsp");
 TspInstance read_tsp_coords(std::string_view text,
                             const std::string& context = "tsp");
 TspInstance read_tsp_coords_file(const std::string& path);
@@ -189,8 +195,6 @@ TspInstance read_tsp_coords_file(const std::string& path);
 /// terminator.  Distances follow the TSPLIB EUC_2D definition
 /// nint(sqrt(dx^2 + dy^2)) -- rounded to the nearest integer, so published
 /// optima compare exactly.
-TspInstance read_tsplib(std::istream& in,
-                        const std::string& context = "tsplib");
 TspInstance read_tsplib(std::string_view text,
                         const std::string& context = "tsplib");
 TspInstance read_tsplib_file(const std::string& path);

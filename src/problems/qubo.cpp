@@ -13,11 +13,8 @@
 
 namespace fecim::problems {
 
-namespace {
-
-template <typename Source>
-QuboInstance read_qubo_impl(Source&& in, const std::string& context) {
-  io::LineParser parser(in, context);
+QuboInstance read_qubo(std::string_view text, const std::string& context) {
+  io::LineParser parser(text, context);
 
   // Optional directives ahead of the header, in any order.
   bool maximize = false;
@@ -67,21 +64,8 @@ QuboInstance read_qubo_impl(Source&& in, const std::string& context) {
   return QuboInstance{ising::QuboModel(builder.build(), constant), maximize};
 }
 
-}  // namespace
-
-QuboInstance read_qubo(std::istream& in, const std::string& context) {
-  return read_qubo_impl(in, context);
-}
-
-QuboInstance read_qubo(std::string_view text, const std::string& context) {
-  return read_qubo_impl(text, context);
-}
-
 QuboInstance read_qubo_file(const std::string& path) {
-  return io::read_file(path, "qubo",
-                       [](auto&& in, const std::string& context) {
-                         return read_qubo_impl(in, context);
-                       });
+  return read_qubo(io::read_file(path, "qubo").view(), path);
 }
 
 void write_qubo(const QuboInstance& instance, std::ostream& out) {

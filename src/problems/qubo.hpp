@@ -5,7 +5,8 @@
 //
 // File format (QPLIB-subset / COO triplets; '#'/'%' comments and blank
 // lines skipped anywhere, parsed on the shared ingestion core of
-// problems/instance_io.hpp):
+// problems/instance_io.hpp -- read_qubo takes the text, read_qubo_file the
+// text io::read_file returns):
 //
 //   [minimize | maximize]      optional sense directive   [minimize]
 //   [constant <c>]             optional objective offset  [0]
@@ -33,7 +34,6 @@ struct QuboInstance {
   bool maximize = false;
 };
 
-QuboInstance read_qubo(std::istream& in, const std::string& context = "qubo");
 QuboInstance read_qubo(std::string_view text,
                        const std::string& context = "qubo");
 QuboInstance read_qubo_file(const std::string& path);

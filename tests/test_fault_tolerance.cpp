@@ -1,8 +1,9 @@
 // Fault-tolerant campaign execution (docs/robustness.md): run lifecycle
 // statuses, deterministic fault injection, cooperative deadlines, retry
 // reseeding, checkpoint/resume bit-identity, the journal's record codec and
-// its rejection of corrupt records, and batch isolation and every
-// --annealer kind in the fecim_solve CLI.
+// its rejection of corrupt records, and, through the fecim_solve CLI, its
+// one job loop (batch isolation, failed rows, the job validator, failed
+// campaigns in every mode, unmappable inputs) and every --annealer kind.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "core/annealer_factory.hpp"
 #include "core/run_journal.hpp"
@@ -667,8 +670,9 @@ TEST(FaultTolerance, InvalidConfigIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// The fecim_solve CLI: batch isolation, undersized generated graphs, and
-// every --annealer kind
+// The fecim_solve CLI: batch isolation, failed rows, the job validator,
+// failed campaigns and unmappable inputs in every mode, and every
+// --annealer kind
 // ---------------------------------------------------------------------------
 
 #ifdef FECIM_SOLVE_PATH
@@ -734,24 +738,62 @@ int run_solver(const std::string& args, std::string& err,
   return status;
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// The lines of a CSV file after its header.
+std::vector<std::string> csv_rows(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> rows;
+  std::string line;
+  if (!std::getline(in, line)) return rows;
+  while (std::getline(in, line)) rows.push_back(line);
+  return rows;
+}
+
+/// The first `n` comma-separated columns of `row`.
+std::string first_columns(const std::string& row, std::size_t n) {
+  std::size_t end = 0;
+  for (std::size_t k = 0; k < n && end != std::string::npos; ++k)
+    end = row.find(',', end + (k > 0));
+  return row.substr(0, end);
+}
+
 TEST(FaultTolerance, UndersizedGeneratedGraphsAreRejectedBeforeGenerating) {
   std::ifstream probe(FECIM_SOLVE_PATH);
   if (!probe.good()) GTEST_SKIP() << "fecim_solve binary not built";
   probe.close();
 
-  // Each used to stop on random_graph's edge-budget precondition.
+  // Each used to stop on a library precondition (random_graph's edge
+  // budget, the generators, bit slicing, the in-situ annealer): the job
+  // validator rejects them first, exiting 2 naming the flag.  --flips
+  // against an in-situ kind needs the encoded model, so solve() rejects it
+  // as a failed job (exit 1).
   const struct {
     const char* args;
     const char* flag;
-  } cases[] = {{"--nodes 12", "--nodes 12"},
-               {"--problem coloring --nodes 3", "--nodes 3"},
-               {"--problem coloring --nodes 6 --degree 6", "--degree 6"}};
+    int exit;
+  } cases[] = {{"--nodes 12", "--nodes 12", 2},
+               {"--problem coloring --nodes 3", "--nodes 3", 2},
+               {"--problem coloring --nodes 6 --degree 6", "--degree 6", 2},
+               {"--runs 0", "--runs", 2},
+               {"--flips 0", "--flips", 2},
+               {"--bits 0", "--bits 0", 2},
+               {"--bits 17", "--bits 17", 2},
+               {"--problem knapsack --items 0", "--items 0", 2},
+               {"--problem partition --numbers 1", "--numbers 1", 2},
+               {"--problem tsp --cities 2", "--cities 2", 2},
+               {"--problem bogus", "--problem", 2},
+               {"--problem qubo --nodes 1", "--flips 2", 1}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.args);
     std::string err;
     const int status = run_solver(c.args, err);
-    ASSERT_NE(status, -1);
-    EXPECT_NE(status, 0);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), c.exit);
     EXPECT_NE(err.find(c.flag), std::string::npos) << err;
     EXPECT_EQ(err.find("precondition"), std::string::npos) << err;
   }
@@ -763,6 +805,8 @@ TEST(FaultTolerance, UndersizedGeneratedGraphsAreRejectedBeforeGenerating) {
     f << "maxcut - small --nodes 12\n";
     f << "coloring - dense --nodes 6 --degree 6\n";
     f << "maxcut - fine --nodes 13 --iterations 50 --runs 1\n";
+    f << "partition - few --numbers 1\n";
+    f << "qubo - wide --bits 17\n";
   }
   std::string err;
   const std::string csv = testing::TempDir() + "/fecim_small_jobs.csv";
@@ -770,6 +814,8 @@ TEST(FaultTolerance, UndersizedGeneratedGraphsAreRejectedBeforeGenerating) {
   EXPECT_NE(status, 0);
   EXPECT_NE(err.find(":1: --nodes 12"), std::string::npos) << err;
   EXPECT_NE(err.find(":2: --degree 6"), std::string::npos) << err;
+  EXPECT_NE(err.find(":4: --numbers 1"), std::string::npos) << err;
+  EXPECT_NE(err.find(":5: --bits 17"), std::string::npos) << err;
   EXPECT_EQ(err.find("precondition"), std::string::npos) << err;
   std::ifstream in(csv);
   std::string line;
@@ -779,8 +825,178 @@ TEST(FaultTolerance, UndersizedGeneratedGraphsAreRejectedBeforeGenerating) {
     failed += line.size() >= 7 && line.rfind(",failed") == line.size() - 7;
     fine_ok |= line.rfind("fine,", 0) == 0 && line.rfind(",ok") == line.size() - 3;
   }
-  EXPECT_EQ(failed, 2u);
+  EXPECT_EQ(failed, 4u);
   EXPECT_TRUE(fine_ok);
+}
+
+TEST(FaultTolerance, FailedRowsNameTheJobAsFarAsItsLineParsed) {
+  std::ifstream probe(FECIM_SOLVE_PATH);
+  if (!probe.good()) GTEST_SKIP() << "fecim_solve binary not built";
+  probe.close();
+
+  // Each line fails at a different stage -- opening its file, the job
+  // validator, an unknown flag -- and its row carries the job's own name
+  // (or generated name), family, annealer, algorithm, runs and
+  // --iterations, never the process's defaults.
+  const struct {
+    const char* line;
+    const char* row;
+  } cases[] = {
+      {"maxcut /nonexistent x --runs 2 --iterations 7",
+       "x,maxcut,this-work,insitu,2,7,0"},
+      {"maxcut - gen --nodes 12 --runs 3", "gen,maxcut,this-work,insitu,3,0,0"},
+      {"qubo - typo --annealer mesa --bogus 1",
+       "typo,qubo,mesa,insitu,10,0,0"},
+      {"knapsack - --items 0 --runs 2",
+       "knapsack-0,knapsack,this-work,insitu,2,0,0"},
+      {"maxcut /nonexistent y --annealer cim-asic --runs 4",
+       "y,maxcut,cim-asic,insitu,4,0,0"}};
+  const std::string dir = testing::TempDir();
+  {
+    std::ofstream f(dir + "/fecim_failed_rows.txt");
+    for (const auto& c : cases) f << c.line << '\n';
+  }
+  std::string err;
+  run_solver("--serve " + dir + "/fecim_failed_rows.txt", err,
+             dir + "/fecim_failed_rows.csv");
+  const auto rows = csv_rows(dir + "/fecim_failed_rows.csv");
+  ASSERT_EQ(rows.size(), std::size(cases)) << err;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    EXPECT_EQ(first_columns(rows[k], 7), cases[k].row) << cases[k].line;
+    EXPECT_EQ(rows[k].rfind(",failed"), rows[k].size() - 7) << rows[k];
+  }
+
+  // A manifest's jobs that fail to run get the same rows.
+  {
+    std::ofstream f(dir + "/fecim_failed_rows.batch");
+    f << cases[0].line << '\n' << cases[4].line << '\n';
+  }
+  run_solver("--batch " + dir + "/fecim_failed_rows.batch --csv", err,
+             dir + "/fecim_failed_rows_batch.csv");
+  const auto batch = csv_rows(dir + "/fecim_failed_rows_batch.csv");
+  ASSERT_EQ(batch.size(), 2u) << err;
+  EXPECT_EQ(batch[0], rows[0]);
+  EXPECT_EQ(batch[1], rows[4]);
+}
+
+TEST(FaultTolerance, BatchAndServePrintIdenticalRows) {
+  std::ifstream probe(FECIM_SOLVE_PATH);
+  if (!probe.good()) GTEST_SKIP() << "fecim_solve binary not built";
+  probe.close();
+
+  // One loop runs both modes, so the same manifest yields the same bytes.
+  const std::string manifest = FECIM_SOURCE_DIR "/examples/data/campaign.batch";
+  const std::string flags = " --iterations 300 --runs 2 --threads 2";
+  const std::string dir = testing::TempDir();
+  std::string err;
+  ASSERT_EQ(run_solver("--batch " + manifest + " --csv" + flags, err,
+                       dir + "/fecim_identity_batch.csv"),
+            0)
+      << err;
+  ASSERT_EQ(run_solver("--serve " + manifest + flags, err,
+                       dir + "/fecim_identity_serve.csv"),
+            0)
+      << err;
+  const auto batch = read_text(dir + "/fecim_identity_batch.csv");
+  EXPECT_EQ(csv_rows(dir + "/fecim_identity_batch.csv").size(), 3u) << batch;
+  EXPECT_EQ(batch, read_text(dir + "/fecim_identity_serve.csv"));
+}
+
+TEST(FaultTolerance, ACampaignWithNoCompletedRunFailsInEveryMode) {
+  std::ifstream probe(FECIM_SOLVE_PATH);
+  if (!probe.good()) GTEST_SKIP() << "fecim_solve binary not built";
+  probe.close();
+
+  // Every run times out long before its iteration budget: the job keeps
+  // its row (status ok, completed_rate 0), prints why on stderr, and
+  // counts as failed, so each mode exits 1.
+  const std::string job =
+      "--nodes 48 --iterations 100000000 --runs 2 --run-timeout 0.001";
+  const std::string dir = testing::TempDir();
+  {
+    std::ofstream f(dir + "/fecim_no_run.txt");
+    f << "maxcut - t " << job << '\n';
+  }
+  const std::string modes[] = {job + " --csv",
+                               "--serve " + dir + "/fecim_no_run.txt",
+                               "--batch " + dir + "/fecim_no_run.txt --csv"};
+  for (const auto& args : modes) {
+    SCOPED_TRACE(args);
+    std::string err;
+    const int status = run_solver(args, err, dir + "/fecim_no_run.csv");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    EXPECT_NE(err.find("no run completed (2 attempted)"), std::string::npos)
+        << err;
+    const auto rows = csv_rows(dir + "/fecim_no_run.csv");
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_NE(rows[0].find(",0.000,0.000,0.000,"), std::string::npos)
+        << rows[0];
+    EXPECT_EQ(rows[0].rfind(",ok"), rows[0].size() - 3) << rows[0];
+  }
+}
+
+TEST(FaultTolerance, UnmappableInputsAreBufferedWithinABound) {
+  std::ifstream probe(FECIM_SOLVE_PATH);
+  if (!probe.good()) GTEST_SKIP() << "fecim_solve binary not built";
+  probe.close();
+
+  // /dev/zero cannot be mapped and never ends: read_file stops at its
+  // buffer limit with a diagnostic naming the path and the limit.  Outside
+  // the sanitizers' reserved address space, an address-space cap turns a
+  // regression into a failed command instead of a drained host.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  const std::string cap;
+#else
+  const std::string cap = "ulimit -v 2000000; ";
+#endif
+  const std::string dir = testing::TempDir();
+  const std::string err_path = dir + "/fecim_dev_zero.err";
+  const int status = std::system(
+      (cap + FECIM_SOLVE_PATH + " --file /dev/zero --csv > /dev/null 2> " +
+       err_path)
+          .c_str());
+  const auto err = read_text(err_path);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << err;
+  EXPECT_NE(err.find("/dev/zero: input exceeds 256 MiB"), std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("empty input"), std::string::npos) << err;
+  EXPECT_EQ(err.find("bad_alloc"), std::string::npos) << err;
+
+  // A fixture piped through /dev/stdin -- the buffered branch, format
+  // sniffing included -- gives the row the mapped file gives, after the
+  // instance column.
+  const struct {
+    const char* problem;
+    const char* fixture;
+  } fixtures[] = {{"maxcut", "maxcut_petersen.gset"},
+                  {"tsp", "tsp_pentagon.xy"},
+                  {"tsp", "tsp_ulysses5.tsp"}};
+  for (const auto& f : fixtures) {
+    SCOPED_TRACE(f.fixture);
+    const std::string path =
+        std::string(FECIM_SOURCE_DIR "/examples/data/") + f.fixture;
+    const std::string args = std::string("--problem ") + f.problem +
+                             " --iterations 300 --runs 2 --threads 2 --csv";
+    std::string run_err;
+    ASSERT_EQ(run_solver(args + " --file " + path, run_err,
+                         dir + "/fecim_mapped.csv"),
+              0)
+        << run_err;
+    ASSERT_EQ(std::system(("cat " + path + " | " + FECIM_SOLVE_PATH + " " +
+                           args + " --file /dev/stdin > " + dir +
+                           "/fecim_piped.csv 2> /dev/null")
+                              .c_str()),
+              0);
+    const auto mapped = csv_rows(dir + "/fecim_mapped.csv");
+    const auto piped = csv_rows(dir + "/fecim_piped.csv");
+    ASSERT_EQ(mapped.size(), 1u);
+    ASSERT_EQ(piped.size(), 1u);
+    EXPECT_EQ(piped[0].rfind("/dev/stdin,", 0), 0u) << piped[0];
+    EXPECT_EQ(piped[0].substr(piped[0].find(',')),
+              mapped[0].substr(mapped[0].find(',')));
+  }
 }
 
 TEST(FaultTolerance, EveryAnnealerKindRunsThroughTheCli) {

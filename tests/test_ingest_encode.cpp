@@ -24,6 +24,7 @@
 #include "problems/gset_io.hpp"
 #include "problems/instance_io.hpp"
 #include "problems/maxcut.hpp"
+#include "pipe_fixture.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -377,95 +378,106 @@ TEST(SymmetryCheck, ToleranceBoundaryIsInclusive) {
 // Readers never size a buffer from an unverified header count
 // ---------------------------------------------------------------------------
 
-/// Read `text` through the string_view and istream sources: each must raise
-/// contract_error with `expected` in its message, allocating at most 4 KiB
-/// plus a small multiple of the input (the old readers reserved the
-/// declared count up front: 10^15 items, or 3.2 GB for DIMENSION 2*10^8).
-/// A rejection here allocates under 1 KiB.
-template <typename ReadView, typename ReadStream>
+/// Read `text` through the string_view reader (context `context`) and,
+/// from a pipe, through the *_file reader's buffered branch: each must
+/// raise contract_error with its source's name followed by `expected`,
+/// allocating at most 4 KiB plus a small multiple of the input (the old
+/// readers reserved the declared count up front: 10^15 items, or 3.2 GB
+/// for DIMENSION 2*10^8).  A rejection here allocates under 1 KiB.
+template <typename ReadView, typename ReadFile>
 void expect_bounded_rejection(const std::string& text,
+                              const std::string& context,
                               const std::string& expected, ReadView&& view,
-                              ReadStream&& stream) {
+                              ReadFile&& file) {
   const std::uint64_t budget = (4u << 10) + 32 * text.size();
   for (const bool from_view : {true, false}) {
+    const PipeFixture pipe(text);
+    const std::string where = from_view ? context : pipe.path();
     std::string message;
-    std::istringstream in(text);
     const auto allocated = allocations_of([&] {
       try {
         if (from_view)
-          view(std::string_view(text));
+          view(std::string_view(text), context);
         else
-          stream(in);
+          file(pipe.path());
         ADD_FAILURE() << "accepted: " << text;
       } catch (const contract_error& error) {
         message = error.what();
       }
     });
-    EXPECT_NE(message.find(expected), std::string::npos)
-        << (from_view ? "view: " : "stream: ") << message;
+    EXPECT_NE(message.find(where + expected), std::string::npos)
+        << (from_view ? "view: " : "buffered: ") << message;
     EXPECT_LE(allocated.bytes, budget)
-        << (from_view ? "view" : "stream") << " allocated "
+        << (from_view ? "view" : "buffered") << " allocated "
         << allocated.bytes << " bytes for " << text.size() << " input bytes";
   }
 }
 
 TEST(HeaderBounds, KnapsackItemCountIsNotReserved) {
+  const auto view = [](std::string_view t, const std::string& c) {
+    problems::read_knapsack(t, c);
+  };
+  const auto file = [](const std::string& p) {
+    problems::read_knapsack_file(p);
+  };
   expect_bounded_rejection(
-      "1000000000000000 10\n",
-      "big.kp: unexpected end of input (expected 1000000000000000 item "
-      "lines, got 0)",
-      [](std::string_view t) { problems::read_knapsack(t, "big.kp"); },
-      [](std::istream& in) { problems::read_knapsack(in, "big.kp"); });
+      "1000000000000000 10\n", "big.kp",
+      ": unexpected end of input (expected 1000000000000000 item lines, got "
+      "0)",
+      view, file);
   // The same with some items present: still bounded by the input.
   expect_bounded_rejection(
-      "1000000000000000 10\n1 2\n3 4\n5 6\n",
-      "big.kp: unexpected end of input (expected 1000000000000000 item "
-      "lines, got 3)",
-      [](std::string_view t) { problems::read_knapsack(t, "big.kp"); },
-      [](std::istream& in) { problems::read_knapsack(in, "big.kp"); });
+      "1000000000000000 10\n1 2\n3 4\n5 6\n", "big.kp",
+      ": unexpected end of input (expected 1000000000000000 item lines, got "
+      "3)",
+      view, file);
 }
 
 TEST(HeaderBounds, TspCityCountIsNotReserved) {
   expect_bounded_rejection(
-      "1000000000000000\n0 0\n3 0\n",
-      "big.xy: unexpected end of input (expected 1000000000000000 "
-      "coordinate lines, got 2)",
-      [](std::string_view t) { problems::read_tsp_coords(t, "big.xy"); },
-      [](std::istream& in) { problems::read_tsp_coords(in, "big.xy"); });
+      "1000000000000000\n0 0\n3 0\n", "big.xy",
+      ": unexpected end of input (expected 1000000000000000 coordinate "
+      "lines, got 2)",
+      [](std::string_view t, const std::string& c) {
+        problems::read_tsp_coords(t, c);
+      },
+      [](const std::string& p) { problems::read_tsp_coords_file(p); });
 }
 
 TEST(HeaderBounds, TsplibDimensionIsNotAllocated) {
-  const std::string text =
+  const auto view = [](std::string_view t, const std::string& c) {
+    problems::read_tsplib(t, c);
+  };
+  const auto file = [](const std::string& p) {
+    problems::read_tsplib_file(p);
+  };
+  expect_bounded_rejection(
       "NAME: big\nTYPE: TSP\nDIMENSION: 200000000\n"
       "EDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
-      "1 0 0\n2 3 0\n3 3 4\nEOF\n";
-  expect_bounded_rejection(
-      text, "big.tsp:9: expected 3 fields, got 1",
-      [](std::string_view t) { problems::read_tsplib(t, "big.tsp"); },
-      [](std::istream& in) { problems::read_tsplib(in, "big.tsp"); });
+      "1 0 0\n2 3 0\n3 3 4\nEOF\n",
+      "big.tsp", ":9: expected 3 fields, got 1", view, file);
   // Truncation and duplicate ids keep their diagnostics.
   expect_bounded_rejection(
       "DIMENSION: 200000000\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
       "2 0 0\n",
-      "big.tsp: unexpected end of input (expected 200000000 node coordinate "
-      "lines, got 1)",
-      [](std::string_view t) { problems::read_tsplib(t, "big.tsp"); },
-      [](std::istream& in) { problems::read_tsplib(in, "big.tsp"); });
+      "big.tsp",
+      ": unexpected end of input (expected 200000000 node coordinate lines, "
+      "got 1)",
+      view, file);
   expect_bounded_rejection(
       "DIMENSION: 200000000\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
       "7 0 0\n9 1 1\n7 2 2\n",
-      "big.tsp:6: duplicate node id 7",
-      [](std::string_view t) { problems::read_tsplib(t, "big.tsp"); },
-      [](std::istream& in) { problems::read_tsplib(in, "big.tsp"); });
+      "big.tsp", ":6: duplicate node id 7", view, file);
 }
 
 TEST(HeaderBounds, GsetEdgeCountIsNotReserved) {
   expect_bounded_rejection(
-      "3 1000000000000000\n1 2 1\n2 3 1\n",
-      "big.gset: unexpected end of input (expected 1000000000000000 edges, "
-      "got 2)",
-      [](std::string_view t) { problems::read_gset(t, "big.gset"); },
-      [](std::istream& in) { problems::read_gset(in, "big.gset"); });
+      "3 1000000000000000\n1 2 1\n2 3 1\n", "big.gset",
+      ": unexpected end of input (expected 1000000000000000 edges, got 2)",
+      [](std::string_view t, const std::string& c) {
+        problems::read_gset(t, c);
+      },
+      [](const std::string& p) { problems::read_gset_file(p); });
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "problems/instance_io.hpp"
 #include "problems/instances.hpp"
 #include "problems/qubo.hpp"
+#include "pipe_fixture.hpp"
 #include "util/assert.hpp"
 
 namespace {
@@ -44,7 +45,7 @@ std::string diagnostic_of(Fn&& fn) {
 // ---------------------------------------------------------------------------
 
 TEST(GsetIoHardened, SkipsCommentAndBlankLines) {
-  std::stringstream in(
+  const std::string text(
       "% rudy-style comment\n"
       "# hash comment\n"
       "\n"
@@ -53,7 +54,7 @@ TEST(GsetIoHardened, SkipsCommentAndBlankLines) {
       "1 2 1.5\n"
       "\n"
       "2 3 -1\n");
-  const auto g = read_gset(in);
+  const auto g = read_gset(text);
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 1.5);
@@ -61,46 +62,46 @@ TEST(GsetIoHardened, SkipsCommentAndBlankLines) {
 }
 
 TEST(GsetIoHardened, WeightColumnOptionalDefaultsToUnit) {
-  std::stringstream in("2 1\n1 2\n");
-  const auto g = read_gset(in);
+  const std::string text("2 1\n1 2\n");
+  const auto g = read_gset(text);
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 1.0);
 }
 
 TEST(GsetIoHardened, SelfLoopNamesTheLine) {
-  std::stringstream in("3 2\n1 2 1\n2 2 1\n");
-  const auto message = diagnostic_of([&] { read_gset(in); });
+  const std::string text("3 2\n1 2 1\n2 2 1\n");
+  const auto message = diagnostic_of([&] { read_gset(text); });
   EXPECT_NE(message.find("gset:3"), std::string::npos) << message;
   EXPECT_NE(message.find("self-loop"), std::string::npos) << message;
 }
 
 TEST(GsetIoHardened, OutOfRangeIndexNamesTheLine) {
-  std::stringstream in("# header next\n2 1\n1 5 1\n");
-  const auto message = diagnostic_of([&] { read_gset(in); });
+  const std::string text("# header next\n2 1\n1 5 1\n");
+  const auto message = diagnostic_of([&] { read_gset(text); });
   EXPECT_NE(message.find("gset:3"), std::string::npos) << message;
   EXPECT_NE(message.find("out of range"), std::string::npos) << message;
 }
 
 TEST(GsetIoHardened, GarbageFieldNamesTheLine) {
-  std::stringstream in("3 1\n1 2 fast\n");
-  const auto message = diagnostic_of([&] { read_gset(in); });
+  const std::string text("3 1\n1 2 fast\n");
+  const auto message = diagnostic_of([&] { read_gset(text); });
   EXPECT_NE(message.find("gset:2"), std::string::npos) << message;
   EXPECT_NE(message.find("'fast'"), std::string::npos) << message;
 }
 
 TEST(GsetIoHardened, TruncatedAndTrailingInputRejected) {
-  std::stringstream truncated("3 2\n1 2 1\n");
+  const std::string truncated("3 2\n1 2 1\n");
   EXPECT_NE(diagnostic_of([&] { read_gset(truncated); })
                 .find("end of input"),
             std::string::npos);
-  std::stringstream trailing("2 1\n1 2 1\n2 1 3\n");
+  const std::string trailing("2 1\n1 2 1\n2 1 3\n");
   EXPECT_NE(diagnostic_of([&] { read_gset(trailing); })
                 .find("trailing content"),
             std::string::npos);
 }
 
 TEST(GsetIoHardened, DuplicateEdgesAccumulate) {
-  std::stringstream in("2 2\n1 2 1.5\n2 1 2.5\n");
-  const auto g = read_gset(in);
+  const std::string text("2 2\n1 2 1.5\n2 1 2.5\n");
+  const auto g = read_gset(text);
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 4.0);
 }
@@ -112,9 +113,9 @@ TEST(GsetIoHardened, WriteReadRoundTripIsLossless) {
   g.add_edge(0, 1, 1.0 / 3.0);
   g.add_edge(1, 2, 0.1);
   g.add_edge(2, 3, -1234567.890123);
-  std::stringstream buffer;
+  std::ostringstream buffer;
   write_gset(g, buffer);
-  const auto parsed = read_gset(buffer);
+  const auto parsed = read_gset(buffer.str());
   ASSERT_EQ(parsed.num_edges(), 3u);
   EXPECT_DOUBLE_EQ(parsed.edge_weight(0, 1), 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(parsed.edge_weight(1, 2), 0.1);
@@ -127,15 +128,15 @@ TEST(GsetIoHardened, GsetScaleEdgeListLoadsLinearly) {
   // assertion is correctness; the 60 s ctest timeout is the perf tripwire.
   constexpr std::uint32_t n = 2000;
   constexpr std::size_t m = 20000;
-  std::stringstream in;
-  in << n << ' ' << 2 * m << '\n';
+  std::ostringstream text;
+  text << n << ' ' << 2 * m << '\n';
   for (std::size_t k = 0; k < m; ++k) {
     const auto u = static_cast<std::uint32_t>(k % n);
     const auto v = static_cast<std::uint32_t>((u + 1 + k % 7) % n);
-    in << (u + 1) << ' ' << (v + 1) << " 0.5\n";
-    in << (v + 1) << ' ' << (u + 1) << " 0.5\n";
+    text << (u + 1) << ' ' << (v + 1) << " 0.5\n";
+    text << (v + 1) << ' ' << (u + 1) << " 0.5\n";
   }
-  const auto g = read_gset(in);
+  const auto g = read_gset(text.str());
   EXPECT_EQ(g.num_vertices(), n);
   EXPECT_LE(g.num_edges(), m);  // every pair merged at least once
   double total = 0.0;
@@ -148,36 +149,36 @@ TEST(GsetIoHardened, GsetScaleEdgeListLoadsLinearly) {
 // ---------------------------------------------------------------------------
 
 TEST(DimacsIo, ParsesAndDedupesMirroredEdges) {
-  std::stringstream in(
+  const std::string text(
       "c triangle plus a mirrored duplicate\n"
       "p edge 3 4\n"
       "e 1 2\n"
       "e 2 3\n"
       "e 1 3\n"
       "e 2 1\n");
-  const auto g = read_dimacs_coloring(in);
+  const auto g = read_dimacs_coloring(text);
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);  // mirrored duplicate deduped, unit weight
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 1.0);
 }
 
 TEST(DimacsIo, ErrorsNameTheLine) {
-  std::stringstream no_problem_line("e 1 2\n");
+  const std::string no_problem_line("e 1 2\n");
   EXPECT_NE(diagnostic_of([&] { read_dimacs_coloring(no_problem_line); })
                 .find("p edge"),
             std::string::npos);
 
-  std::stringstream bad_index("p edge 3 1\ne 1 9\n");
+  const std::string bad_index("p edge 3 1\ne 1 9\n");
   const auto message =
       diagnostic_of([&] { read_dimacs_coloring(bad_index); });
   EXPECT_NE(message.find("dimacs:2"), std::string::npos) << message;
 
-  std::stringstream self_loop("p edge 3 1\ne 2 2\n");
+  const std::string self_loop("p edge 3 1\ne 2 2\n");
   EXPECT_NE(diagnostic_of([&] { read_dimacs_coloring(self_loop); })
                 .find("self-loop"),
             std::string::npos);
 
-  std::stringstream truncated("p edge 3 2\ne 1 2\n");
+  const std::string truncated("p edge 3 2\ne 1 2\n");
   EXPECT_NE(diagnostic_of([&] { read_dimacs_coloring(truncated); })
                 .find("end of input"),
             std::string::npos);
@@ -188,13 +189,13 @@ TEST(DimacsIo, ErrorsNameTheLine) {
 // ---------------------------------------------------------------------------
 
 TEST(KnapsackIo, ReadParsesHeaderAndItems) {
-  std::stringstream in(
+  const std::string text(
       "# value weight per line\n"
       "3 7.5\n"
       "10 5\n"
       "7 4\n"
       "4 3\n");
-  const auto instance = read_knapsack(in);
+  const auto instance = read_knapsack(text);
   ASSERT_EQ(instance.items.size(), 3u);
   EXPECT_DOUBLE_EQ(instance.capacity, 7.5);
   EXPECT_DOUBLE_EQ(instance.items[1].value, 7.0);
@@ -203,9 +204,9 @@ TEST(KnapsackIo, ReadParsesHeaderAndItems) {
 
 TEST(KnapsackIo, WriteReadRoundTrip) {
   const KnapsackInstance instance{{{10.25, 5.5}, {1.0 / 3.0, 4}}, 7.125};
-  std::stringstream buffer;
+  std::ostringstream buffer;
   write_knapsack(instance, buffer);
-  const auto parsed = read_knapsack(buffer);
+  const auto parsed = read_knapsack(buffer.str());
   ASSERT_EQ(parsed.items.size(), 2u);
   EXPECT_DOUBLE_EQ(parsed.capacity, 7.125);
   EXPECT_DOUBLE_EQ(parsed.items[0].value, 10.25);
@@ -213,15 +214,15 @@ TEST(KnapsackIo, WriteReadRoundTrip) {
 }
 
 TEST(KnapsackIo, MalformedInputsNameTheLine) {
-  std::stringstream negative_value("2 7\n-3 2\n1 1\n");
+  const std::string negative_value("2 7\n-3 2\n1 1\n");
   EXPECT_NE(diagnostic_of([&] { read_knapsack(negative_value); })
                 .find("knapsack:2"),
             std::string::npos);
-  std::stringstream truncated("3 7\n10 5\n");
+  const std::string truncated("3 7\n10 5\n");
   EXPECT_NE(diagnostic_of([&] { read_knapsack(truncated); })
                 .find("end of input"),
             std::string::npos);
-  std::stringstream zero_capacity("1 0\n1 1\n");
+  const std::string zero_capacity("1 0\n1 1\n");
   EXPECT_NE(diagnostic_of([&] { read_knapsack(zero_capacity); })
                 .find("capacity"),
             std::string::npos);
@@ -232,22 +233,22 @@ TEST(KnapsackIo, MalformedInputsNameTheLine) {
 // ---------------------------------------------------------------------------
 
 TEST(PartitionIo, LayoutInsensitiveParse) {
-  std::stringstream in("# any layout\n4 5 6\n7\n8\n");
-  const auto numbers = read_partition(in);
+  const std::string text("# any layout\n4 5 6\n7\n8\n");
+  const auto numbers = read_partition(text);
   ASSERT_EQ(numbers.size(), 5u);
   EXPECT_DOUBLE_EQ(numbers[0], 4.0);
   EXPECT_DOUBLE_EQ(numbers[4], 8.0);
 }
 
 TEST(PartitionIo, RejectsBadInputs) {
-  std::stringstream garbage("3 x 5\n");
+  const std::string garbage("3 x 5\n");
   EXPECT_NE(diagnostic_of([&] { read_partition(garbage); }).find("'x'"),
             std::string::npos);
-  std::stringstream negative("3 -4\n");
+  const std::string negative("3 -4\n");
   EXPECT_NE(diagnostic_of([&] { read_partition(negative); })
                 .find("positive"),
             std::string::npos);
-  std::stringstream too_few("42\n");
+  const std::string too_few("42\n");
   EXPECT_NE(diagnostic_of([&] { read_partition(too_few); })
                 .find("at least 2"),
             std::string::npos);
@@ -258,8 +259,8 @@ TEST(PartitionIo, RejectsBadInputs) {
 // ---------------------------------------------------------------------------
 
 TEST(TspIo, EuclideanDistancesFromCoordinates) {
-  std::stringstream in("4\n0 0\n1 0\n1 1\n0 1\n");
-  const auto instance = read_tsp_coords(in);
+  const std::string text("4\n0 0\n1 0\n1 1\n0 1\n");
+  const auto instance = read_tsp_coords(text);
   ASSERT_EQ(instance.num_cities(), 4u);
   EXPECT_DOUBLE_EQ(instance.distances[0][1], 1.0);
   EXPECT_DOUBLE_EQ(instance.distances[0][2], std::sqrt(2.0));
@@ -270,15 +271,15 @@ TEST(TspIo, EuclideanDistancesFromCoordinates) {
 }
 
 TEST(TspIo, RejectsBadInputs) {
-  std::stringstream too_few("2\n0 0\n1 1\n");
+  const std::string too_few("2\n0 0\n1 1\n");
   EXPECT_NE(diagnostic_of([&] { read_tsp_coords(too_few); })
                 .find("at least 3"),
             std::string::npos);
-  std::stringstream truncated("3\n0 0\n1 1\n");
+  const std::string truncated("3\n0 0\n1 1\n");
   EXPECT_NE(diagnostic_of([&] { read_tsp_coords(truncated); })
                 .find("end of input"),
             std::string::npos);
-  std::stringstream trailing("3\n0 0\n1 0\n0 1\n5 5\n");
+  const std::string trailing("3\n0 0\n1 0\n0 1\n5 5\n");
   EXPECT_NE(diagnostic_of([&] { read_tsp_coords(trailing); })
                 .find("trailing"),
             std::string::npos);
@@ -302,8 +303,8 @@ const char* const kTsplibSquare =
     "EOF\n";
 
 TEST(TsplibIo, ParsesHeadersAndRoundsEuc2dDistances) {
-  std::stringstream in(kTsplibSquare);
-  const auto instance = read_tsplib(in);
+  const std::string text(kTsplibSquare);
+  const auto instance = read_tsplib(text);
   ASSERT_EQ(instance.num_cities(), 4u);
   EXPECT_DOUBLE_EQ(instance.distances[0][1], 3.0);
   EXPECT_DOUBLE_EQ(instance.distances[1][2], 4.0);
@@ -316,23 +317,23 @@ TEST(TsplibIo, ParsesHeadersAndRoundsEuc2dDistances) {
 
 TEST(TsplibIo, NintRoundingIsPartOfTheFormat) {
   // d(1,2) = sqrt(2) ~ 1.414 -> 1; d(1,3) = sqrt(8) ~ 2.83 -> 3.
-  std::stringstream in(
+  const std::string text(
       "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
       "1 0 0\n2 1 1\n3 2 2\nEOF\n");
-  const auto instance = read_tsplib(in);
+  const auto instance = read_tsplib(text);
   EXPECT_DOUBLE_EQ(instance.distances[0][1], 1.0);
   EXPECT_DOUBLE_EQ(instance.distances[0][2], 3.0);
 }
 
 TEST(TsplibIo, AcceptsOutOfOrderIdsAndNoEofTerminator) {
-  std::stringstream in(
+  const std::string text(
       "DIMENSION : 3\n"
       "EDGE_WEIGHT_TYPE : EUC_2D\n"
       "NODE_COORD_SECTION\n"
       "3 0 4\n"
       "1 0 0\n"
       "2 3 0\n");
-  const auto instance = read_tsplib(in);
+  const auto instance = read_tsplib(text);
   ASSERT_EQ(instance.num_cities(), 3u);
   EXPECT_DOUBLE_EQ(instance.distances[0][1], 3.0);  // ids landed in place
   EXPECT_DOUBLE_EQ(instance.distances[0][2], 4.0);
@@ -340,7 +341,7 @@ TEST(TsplibIo, AcceptsOutOfOrderIdsAndNoEofTerminator) {
 }
 
 TEST(TsplibIo, MalformedInputsNameTheLine) {
-  std::stringstream geo(
+  const std::string geo(
       "DIMENSION : 3\nEDGE_WEIGHT_TYPE : GEO\nNODE_COORD_SECTION\n");
   const auto geo_diag = diagnostic_of([&] { read_tsplib(geo, "t.tsp"); });
   EXPECT_NE(geo_diag.find("t.tsp:2"), std::string::npos);
@@ -348,38 +349,38 @@ TEST(TsplibIo, MalformedInputsNameTheLine) {
 
   // strtoull would wrap "-4" to a huge value; the reader must reject the
   // sign with a line-numbered diagnostic, not die allocating 2^64 points.
-  std::stringstream negative(
+  const std::string negative(
       "DIMENSION : -4\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n");
   const auto neg_diag =
       diagnostic_of([&] { read_tsplib(negative, "n.tsp"); });
   EXPECT_NE(neg_diag.find("n.tsp:1"), std::string::npos);
   EXPECT_NE(neg_diag.find("not a non-negative integer"), std::string::npos);
 
-  std::stringstream no_dim(
+  const std::string no_dim(
       "EDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n");
   EXPECT_NE(diagnostic_of([&] { read_tsplib(no_dim); })
                 .find("before DIMENSION"),
             std::string::npos);
 
-  std::stringstream no_type("DIMENSION : 3\nNODE_COORD_SECTION\n1 0 0\n");
+  const std::string no_type("DIMENSION : 3\nNODE_COORD_SECTION\n1 0 0\n");
   EXPECT_NE(diagnostic_of([&] { read_tsplib(no_type); })
                 .find("EDGE_WEIGHT_TYPE"),
             std::string::npos);
 
-  std::stringstream atsp(
+  const std::string atsp(
       "TYPE : ATSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n");
   EXPECT_NE(diagnostic_of([&] { read_tsplib(atsp); })
                 .find("unsupported TYPE"),
             std::string::npos);
 
-  std::stringstream truncated(
+  const std::string truncated(
       "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
       "1 0 0\n2 1 1\n");
   EXPECT_NE(diagnostic_of([&] { read_tsplib(truncated); })
                 .find("end of input"),
             std::string::npos);
 
-  std::stringstream duplicate(
+  const std::string duplicate(
       "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
       "1 0 0\n1 1 1\n3 2 2\n");
   const auto dup_diag =
@@ -387,14 +388,14 @@ TEST(TsplibIo, MalformedInputsNameTheLine) {
   EXPECT_NE(dup_diag.find("d.tsp:5"), std::string::npos);
   EXPECT_NE(dup_diag.find("duplicate node id 1"), std::string::npos);
 
-  std::stringstream out_of_range(
+  const std::string out_of_range(
       "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
       "1 0 0\n2 1 1\n7 2 2\n");
   EXPECT_NE(diagnostic_of([&] { read_tsplib(out_of_range); })
                 .find("outside 1..3"),
             std::string::npos);
 
-  std::stringstream trailing(
+  const std::string trailing(
       "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
       "1 0 0\n2 1 1\n3 2 2\nEOF\n5 5 5\n");
   EXPECT_NE(diagnostic_of([&] { read_tsplib(trailing); })
@@ -434,7 +435,7 @@ TEST(TsplibIo, SniffingLoaderHandlesBothFormats) {
 // ---------------------------------------------------------------------------
 
 TEST(QuboIo, ParsesDirectivesHeaderAndTriplets) {
-  std::stringstream in(
+  const std::string text(
       "# 2-variable toy\n"
       "maximize\n"
       "constant 1.5\n"
@@ -442,7 +443,7 @@ TEST(QuboIo, ParsesDirectivesHeaderAndTriplets) {
       "1 1 2\n"
       "2 2 -1\n"
       "1 2 3\n");
-  const auto instance = read_qubo(in);
+  const auto instance = read_qubo(text);
   EXPECT_TRUE(instance.maximize);
   EXPECT_EQ(instance.model.num_variables(), 2u);
   EXPECT_DOUBLE_EQ(instance.model.constant(), 1.5);
@@ -454,17 +455,17 @@ TEST(QuboIo, ParsesDirectivesHeaderAndTriplets) {
 }
 
 TEST(QuboIo, MirroredAndDuplicateTripletsAccumulate) {
-  std::stringstream in("2 3\n1 2 1\n2 1 2\n1 2 0.5\n");
-  const auto instance = read_qubo(in);
+  const std::string text("2 3\n1 2 1\n2 1 2\n1 2 0.5\n");
+  const auto instance = read_qubo(text);
   EXPECT_DOUBLE_EQ(instance.model.value(std::vector<std::uint8_t>{1, 1}),
                    3.5);
 }
 
 TEST(QuboIo, WriteReadRoundTripIsLossless) {
   const auto original = random_qubo(12, 4.0, 99);
-  std::stringstream buffer;
+  std::ostringstream buffer;
   write_qubo(original, buffer);
-  const auto parsed = read_qubo(buffer);
+  const auto parsed = read_qubo(buffer.str());
   EXPECT_EQ(parsed.maximize, original.maximize);
   EXPECT_EQ(parsed.model.num_variables(), original.model.num_variables());
   EXPECT_EQ(parsed.model.q().nonzeros(), original.model.q().nonzeros());
@@ -478,21 +479,21 @@ TEST(QuboIo, WriteReadRoundTripIsLossless) {
 }
 
 TEST(QuboIo, MalformedInputsNameTheLine) {
-  std::stringstream empty("# only comments\n");
+  const std::string empty("# only comments\n");
   EXPECT_NE(diagnostic_of([&] { read_qubo(empty); }).find("empty input"),
             std::string::npos);
-  std::stringstream bad_header("minimize\nfoo bar\n");
+  const std::string bad_header("minimize\nfoo bar\n");
   EXPECT_NE(diagnostic_of([&] { read_qubo(bad_header); }).find("qubo:2"),
             std::string::npos);
-  std::stringstream out_of_range("2 1\n1 3 1\n");
+  const std::string out_of_range("2 1\n1 3 1\n");
   EXPECT_NE(diagnostic_of([&] { read_qubo(out_of_range); })
                 .find("out of range"),
             std::string::npos);
-  std::stringstream truncated("2 2\n1 2 1\n");
+  const std::string truncated("2 2\n1 2 1\n");
   EXPECT_NE(diagnostic_of([&] { read_qubo(truncated); })
                 .find("end of input"),
             std::string::npos);
-  std::stringstream trailing("2 1\n1 2 1\n1 1 1\n");
+  const std::string trailing("2 1\n1 2 1\n1 1 1\n");
   EXPECT_NE(diagnostic_of([&] { read_qubo(trailing); }).find("trailing"),
             std::string::npos);
 }
@@ -529,9 +530,9 @@ TEST(QuboProblem, MaximizeInstancesAnnealTheNegatedModel) {
   // -H: the model's ground state has to decode to the H-MAXIMUM, not the
   // minimum.  H = x1 + x2 - 3 x1 x2 has max 1 (either single bit) and min
   // -1 (both bits) -- a sign-naive encoding would anneal to -1.
-  std::stringstream in("maximize\n2 3\n1 1 1\n2 2 1\n1 2 -3\n");
+  const std::string text("maximize\n2 3\n1 1 1\n2 2 1\n1 2 -3\n");
   const auto problem = fecim::problems::make_qubo_problem(
-      "maximize-toy", read_qubo(in), 8, 1);
+      "maximize-toy", read_qubo(text), 8, 1);
   EXPECT_EQ(problem.sense, fecim::core::ObjectiveSense::kMaximize);
   EXPECT_DOUBLE_EQ(problem.reference_objective, 1.0);
   const auto [spins, energy] = problem.model->brute_force_ground_state();
@@ -540,9 +541,9 @@ TEST(QuboProblem, MaximizeInstancesAnnealTheNegatedModel) {
 }
 
 // ---------------------------------------------------------------------------
-// mmap-vs-istream differential: the zero-copy memory source behind the
-// *_file readers must be observationally identical to the istream source --
-// same parsed instances, same <file>:<line> diagnostics -- for every
+// mmap differential: the *_file readers map regular files and read anything
+// else (pipes, /dev/stdin) into a buffer; both branches must parse the
+// same instances and raise the same <file>:<line> diagnostics for every
 // fixture in this suite, including files without a trailing newline and
 // empty files.
 // ---------------------------------------------------------------------------
@@ -561,21 +562,22 @@ class TempFixture {
   std::string path_;
 };
 
-/// Parse `text` through both sources with the same context and require the
-/// same outcome: either both succeed (caller compares the instances) or
-/// both throw contract_error with byte-identical messages.
-template <typename ReadView, typename ReadStream>
-void expect_same_diagnostic(const std::string& text,
-                            const std::string& context, ReadView&& view,
-                            ReadStream&& stream) {
-  const auto from_view = diagnostic_of([&] {
-    view(std::string_view(text), context);
-  });
-  const auto from_stream = diagnostic_of([&] {
-    std::stringstream in(text);
-    stream(in, context);
-  });
-  EXPECT_EQ(from_view, from_stream);
+/// Read `text` through `read` (a *_file reader) from a mapped file and
+/// from a pipe: both must throw contract_error naming their path, with
+/// messages identical once the path is replaced.
+template <typename Read>
+void expect_same_diagnostic(const std::string& text, Read&& read) {
+  TempFixture file("fecim_mmap_diag.txt", text);
+  PipeFixture pipe(text);
+  const auto neutral = [](std::string message, const std::string& path) {
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    for (auto at = message.find(path); at != std::string::npos;
+         at = message.find(path, at))
+      message.replace(at, path.size(), "<file>");
+    return message;
+  };
+  EXPECT_EQ(neutral(diagnostic_of([&] { read(file.path()); }), file.path()),
+            neutral(diagnostic_of([&] { read(pipe.path()); }), pipe.path()));
 }
 
 void expect_same_graph(const Graph& a, const Graph& b) {
@@ -597,9 +599,9 @@ TEST(MmapDifferential, GsetFixturesParseIdentically) {
   for (const auto& text : fixtures) {
     TempFixture file("fecim_mmap_gset_" + std::to_string(k++) + ".txt",
                      text);
-    const auto mapped = read_gset_file(file.path());
-    std::stringstream in(text);
-    expect_same_graph(mapped, read_gset(in));
+    PipeFixture pipe(text);
+    expect_same_graph(read_gset_file(file.path()),
+                      read_gset_file(pipe.path()));
   }
 }
 
@@ -614,11 +616,9 @@ TEST(MmapDifferential, GsetDiagnosticsMatchLineForLine) {
       "# only comments\n",                // comments-only input
   };
   for (const auto& text : malformed)
-    expect_same_diagnostic(
-        text, "g.txt",
-        [](std::string_view t, const std::string& c) { read_gset(t, c); },
-        [](std::istream& in, const std::string& c) { read_gset(in, c); });
-  // The mmap file reader names the path exactly like the istream reader.
+    expect_same_diagnostic(text,
+                           [](const std::string& p) { read_gset_file(p); });
+  // The file reader names the path and the line.
   TempFixture file("fecim_mmap_gset_diag.txt", "3 2\n1 2 1\n2 2 1\n");
   const auto message =
       diagnostic_of([&] { read_gset_file(file.path()); });
@@ -631,75 +631,74 @@ TEST(MmapDifferential, DimacsKnapsackPartitionParseIdentically) {
     const std::string text =
         "c comment\np edge 3 4\ne 1 2\ne 2 3\ne 1 3\ne 2 1";  // no final \n
     TempFixture file("fecim_mmap_dimacs.col", text);
-    std::stringstream in(text);
+    PipeFixture pipe(text);
     expect_same_graph(read_dimacs_coloring_file(file.path()),
-                      read_dimacs_coloring(in));
+                      read_dimacs_coloring_file(pipe.path()));
   }
   {
     const std::string text = "# value weight\n3 7.5\n10 5\n7 4\n4 3\n";
     TempFixture file("fecim_mmap_knap.txt", text);
+    PipeFixture pipe(text);
     const auto mapped = read_knapsack_file(file.path());
-    std::stringstream in(text);
-    const auto streamed = read_knapsack(in);
-    ASSERT_EQ(mapped.items.size(), streamed.items.size());
-    EXPECT_DOUBLE_EQ(mapped.capacity, streamed.capacity);
+    const auto buffered = read_knapsack_file(pipe.path());
+    ASSERT_EQ(mapped.items.size(), buffered.items.size());
+    EXPECT_DOUBLE_EQ(mapped.capacity, buffered.capacity);
     for (std::size_t i = 0; i < mapped.items.size(); ++i) {
-      EXPECT_DOUBLE_EQ(mapped.items[i].value, streamed.items[i].value);
-      EXPECT_DOUBLE_EQ(mapped.items[i].weight, streamed.items[i].weight);
+      EXPECT_DOUBLE_EQ(mapped.items[i].value, buffered.items[i].value);
+      EXPECT_DOUBLE_EQ(mapped.items[i].weight, buffered.items[i].weight);
     }
   }
   {
     const std::string text = "# any layout\n4 5 6\n7\n8";  // no final \n
     TempFixture file("fecim_mmap_part.txt", text);
+    PipeFixture pipe(text);
     const auto mapped = read_partition_file(file.path());
-    std::stringstream in(text);
-    const auto streamed = read_partition(in);
-    ASSERT_EQ(mapped.size(), streamed.size());
+    const auto buffered = read_partition_file(pipe.path());
+    ASSERT_EQ(mapped.size(), buffered.size());
     for (std::size_t i = 0; i < mapped.size(); ++i)
-      EXPECT_DOUBLE_EQ(mapped[i], streamed[i]);
+      EXPECT_DOUBLE_EQ(mapped[i], buffered[i]);
   }
 }
 
 TEST(MmapDifferential, TspSniffingLoaderParsesBothFormatsFromMmap) {
+  // The sniffing loader re-reads its text, so both formats must also sniff
+  // right from a pipe, which read_file holds in its buffer.
   const std::string coords = "4\n0 0\n3 0\n3 4\n0 4\n";
-  TempFixture tsplib_file("fecim_mmap_sniff.tsp", kTsplibSquare);
-  TempFixture coords_file("fecim_mmap_sniff.xy", coords);
-  const auto from_tsplib = read_tsp_file(tsplib_file.path());
-  const auto from_coords = read_tsp_file(coords_file.path());
-  std::stringstream tsplib_in(kTsplibSquare);
-  std::stringstream coords_in(coords);
-  const auto tsplib_streamed = read_tsplib(tsplib_in);
-  const auto coords_streamed = read_tsp_coords(coords_in);
-  ASSERT_EQ(from_tsplib.num_cities(), tsplib_streamed.num_cities());
-  ASSERT_EQ(from_coords.num_cities(), coords_streamed.num_cities());
-  for (std::size_t u = 0; u < 4; ++u)
-    for (std::size_t v = 0; v < 4; ++v) {
-      EXPECT_DOUBLE_EQ(from_tsplib.distances[u][v],
-                       tsplib_streamed.distances[u][v]);
-      EXPECT_DOUBLE_EQ(from_coords.distances[u][v],
-                       coords_streamed.distances[u][v]);
-    }
+  for (const std::string& text : {std::string(kTsplibSquare), coords}) {
+    TempFixture file("fecim_mmap_sniff.txt", text);
+    PipeFixture pipe(text);
+    const auto mapped = read_tsp_file(file.path());
+    const auto buffered = read_tsp_file(pipe.path());
+    const auto direct = text == coords ? read_tsp_coords(text)
+                                       : read_tsplib(text);
+    ASSERT_EQ(mapped.num_cities(), 4u);
+    ASSERT_EQ(buffered.num_cities(), 4u);
+    ASSERT_EQ(direct.num_cities(), 4u);
+    for (std::size_t u = 0; u < 4; ++u)
+      for (std::size_t v = 0; v < 4; ++v) {
+        EXPECT_DOUBLE_EQ(mapped.distances[u][v], direct.distances[u][v]);
+        EXPECT_DOUBLE_EQ(buffered.distances[u][v], direct.distances[u][v]);
+      }
+  }
 }
 
 TEST(MmapDifferential, QuboParsesAndDiagnosesIdentically) {
   const std::string text =
       "maximize\nconstant 1.5\n2 3\n1 1 2\n2 2 -1\n1 2 3";  // no final \n
   TempFixture file("fecim_mmap_qubo.txt", text);
+  PipeFixture pipe(text);
   const auto mapped = read_qubo_file(file.path());
-  std::stringstream in(text);
-  const auto streamed = read_qubo(in);
-  EXPECT_EQ(mapped.maximize, streamed.maximize);
-  EXPECT_DOUBLE_EQ(mapped.model.constant(), streamed.model.constant());
+  const auto buffered = read_qubo_file(pipe.path());
+  EXPECT_EQ(mapped.maximize, buffered.maximize);
+  EXPECT_DOUBLE_EQ(mapped.model.constant(), buffered.model.constant());
   for (std::size_t trial = 0; trial < 4; ++trial) {
     const std::vector<std::uint8_t> x{
         static_cast<std::uint8_t>(trial & 1),
         static_cast<std::uint8_t>((trial >> 1) & 1)};
-    EXPECT_DOUBLE_EQ(mapped.model.value(x), streamed.model.value(x));
+    EXPECT_DOUBLE_EQ(mapped.model.value(x), buffered.model.value(x));
   }
-  expect_same_diagnostic(
-      "2 1\n1 3 1\n", "q.txt",
-      [](std::string_view t, const std::string& c) { read_qubo(t, c); },
-      [](std::istream& in2, const std::string& c) { read_qubo(in2, c); });
+  expect_same_diagnostic("2 1\n1 3 1\n",
+                         [](const std::string& p) { read_qubo_file(p); });
 }
 
 TEST(MmapDifferential, EmptyFileBehavesLikeEmptyStream) {
@@ -707,6 +706,7 @@ TEST(MmapDifferential, EmptyFileBehavesLikeEmptyStream) {
   const auto from_file = diagnostic_of([&] { read_gset_file(file.path()); });
   EXPECT_NE(from_file.find("empty input"), std::string::npos) << from_file;
   EXPECT_NE(from_file.find(file.path()), std::string::npos) << from_file;
+  expect_same_diagnostic("", [](const std::string& p) { read_gset_file(p); });
 }
 
 TEST(MmapDifferential, MappedFileContract) {

@@ -14,8 +14,11 @@
 // instances through one process (and one persistent thread pool);
 // --serve keeps the process alive and streams result rows per job line.
 //
-// Both multi-job modes share one job grammar and one execution path
-// (docs/serving.md): each significant line is
+// Every mode runs one job loop (docs/serving.md).  A source yields the
+// jobs -- the command line's one instance, a --batch manifest parsed in
+// full before its first job runs, or a --serve stream parsed line by
+// line -- and a sink takes each result: CSV rows, the human report, or
+// the batch table.  Manifest and stream lines share one job grammar,
 //     <family> <path> [name] [--flag value ...]
 // where <path> of "-" means "generate the instance from the seed", and the
 // trailing overrides rebind any shared per-campaign flag (--iterations,
@@ -24,7 +27,10 @@
 // digest-keyed programmed-array cache (crossbar/array_cache.hpp): jobs
 // that resolve to the same quantized couplings + mapping + device +
 // variation seed + tile shape reuse one programmed array, and the final
-// stderr line reports the cache's built/hit counters.
+// stderr line reports the cache's built/hit counters.  A job that fails
+// -- its line, its instance, or a campaign that completes no run -- gets a
+// stderr diagnostic and, when it has no result, one failed row; the other
+// jobs still run, and the process exits 1.
 //
 // options:
 //   --problem F          maxcut|coloring|knapsack|partition|tsp|qubo [maxcut]
@@ -89,7 +95,8 @@
 //                        (max value + 1) and tsp (n * max distance),
 //                        fixed default 2 for coloring        [0]
 //
-// Malformed numeric flags and malformed instance files exit 2/1 with a
+// A malformed or out-of-range flag exits 2 naming the flag; a malformed
+// manifest, an instance that fails to load or a failed job exits 1 with a
 // diagnostic (file errors name the offending line) instead of silently
 // parsing to zero or dying on a contract check.
 #include <cerrno>
@@ -99,6 +106,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -136,7 +144,7 @@ struct Options {
   std::size_t threads = 0;  // 0 = util::worker_threads()
   std::size_t flips = 2;
   double gain = 0.0;  // 0 = auto (16 unconstrained, 4 constrained)
-  int bits = 8;
+  std::size_t bits = 8;
   std::size_t tile_rows = 0;  // 0 = monolithic
   std::size_t tile_cols = 0;
   std::uint64_t seed = 1;
@@ -159,6 +167,15 @@ struct Options {
   std::size_t numbers = 24;
   std::size_t cities = 6;
   double penalty = 0.0;  // 0 = auto
+};
+
+/// One campaign: a command line's instance, or one manifest/serve line of
+/// the job grammar.
+struct Job {
+  std::string family;
+  std::string path;  ///< empty = generate from the (per-job) seed
+  std::string name;
+  Options options;  ///< process options + per-job overrides
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -300,7 +317,7 @@ bool apply_value_flag(Options& options, const std::string& flag,
   else if (flag == "--threads") options.threads = size_arg();
   else if (flag == "--flips") options.flips = size_arg();
   else if (flag == "--gain") options.gain = double_arg(0.0, 1e6);
-  else if (flag == "--bits") options.bits = static_cast<int>(size_arg());
+  else if (flag == "--bits") options.bits = size_arg();
   else if (flag == "--tile-rows") options.tile_rows = size_arg();
   else if (flag == "--tile-cols") options.tile_cols = size_arg();
   else if (flag == "--seed") options.seed = size_arg();
@@ -340,21 +357,71 @@ std::vector<std::size_t> parse_run_list(const char* flag, const char* text) {
   return runs;
 }
 
-/// Why the generated graph of a maxcut or coloring job cannot be drawn at
-/// the requested size, naming the flags to change; empty when it can (or
-/// when the job reads `file` instead).  Checked before generating, so such
-/// a job fails with this message instead of a generator precondition.
-std::string generated_graph_error(const std::string& family,
-                                  const std::string& file,
-                                  const Options& options) {
-  if (!file.empty()) return {};
+bool is_known_family(const std::string& family) {
+  return family == "maxcut" || family == "coloring" ||
+         family == "knapsack" || family == "partition" || family == "tsp" ||
+         family == "qubo";
+}
+
+/// --nodes, or the family's default size: maxcut 800, coloring 16, qubo 64.
+std::size_t nodes_of(const Job& job) {
+  if (job.options.nodes > 0) return job.options.nodes;
+  return job.family == "maxcut" ? 800 : job.family == "coloring" ? 16 : 64;
+}
+
+/// --degree, or the family's default: coloring 2.5, qubo 8.
+double degree_of(const Job& job) {
+  if (job.options.degree > 0.0) return job.options.degree;
+  return job.family == "coloring" ? 2.5 : 8.0;
+}
+
+/// A job's instance name: its own, else its path, else the generated
+/// instance's; "-" when its line failed before naming a known family.
+std::string job_name(const Job& job) {
+  if (!job.name.empty()) return job.name;
+  if (!job.path.empty()) return job.path;
+  const Options& options = job.options;
+  if (job.family == "maxcut")
+    return "generated-" + std::to_string(nodes_of(job));
+  if (job.family == "knapsack")
+    return "knapsack-" + std::to_string(options.items);
+  if (job.family == "partition")
+    return "partition-" + std::to_string(options.numbers);
+  if (job.family == "tsp") return "tsp-" + std::to_string(options.cities);
+  if (job.family == "coloring" || job.family == "qubo")
+    return job.family + "-" + std::to_string(nodes_of(job));
+  return "-";
+}
+
+/// Why `job` cannot run as given, naming the flag to change; empty when it
+/// can.  The command line exits 2 with it and a job line fails with it at
+/// <file>:<line>, both before any instance is read or generated, so no
+/// such job stops on a library precondition instead.
+std::string job_error(const Job& job) {
+  const Options& options = job.options;
+  // 0 runs would divide 0/0 into feasible_rate and report a campaign that
+  // never ran.
+  if (options.runs == 0) return "--runs must be at least 1";
+  if (options.flips == 0) return "--flips must be at least 1";
+  if (options.bits < 1 || options.bits > 16)
+    return "--bits " + std::to_string(options.bits) + " is outside 1..16";
+  if (!job.path.empty()) return {};
+  const std::string& family = job.family;
+  if (family == "knapsack" && options.items == 0)
+    return "--items 0 is too few for a generated knapsack (at least 1 item)";
+  if (family == "partition" && options.numbers < 2)
+    return "--numbers " + std::to_string(options.numbers) +
+           " is too few for a generated partition (at least 2 numbers)";
+  if (family == "tsp" && options.cities < 3)
+    return "--cities " + std::to_string(options.cities) +
+           " is too few for a generated tsp (at least 3 cities)";
   const auto text = [](double value) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%g", value);
     return std::string(buf);
   };
+  const std::size_t nodes = nodes_of(job);
   if (family == "maxcut") {
-    const std::size_t nodes = options.nodes > 0 ? options.nodes : 800;
     const double degree = problems::gset_like_degree(nodes);
     if (degree <= 0.0 || problems::random_graph_fits(nodes, degree)) return {};
     std::size_t needed = 2;
@@ -365,8 +432,7 @@ std::string generated_graph_error(const std::string& family,
            " nodes)";
   }
   if (family == "coloring") {
-    const std::size_t nodes = options.nodes > 0 ? options.nodes : 16;
-    const double degree = options.degree > 0.0 ? options.degree : 2.5;
+    const double degree = degree_of(job);
     if (problems::random_graph_fits(nodes, degree)) return {};
     if (nodes < 2)
       return "--nodes " + std::to_string(nodes) +
@@ -402,7 +468,12 @@ Options parse(int argc, char** argv) {
     // overrides), then the CLI-only mode selectors and lifecycle hooks.
     if (apply_value_flag(options, arg, [&] { return next(arg.c_str()); },
                          cli_fail)) continue;
-    if (arg == "--problem") options.problem = next("--problem");
+    if (arg == "--problem") {
+      options.problem = next("--problem");
+      if (!is_known_family(options.problem))
+        cli_fail(arg, options.problem.c_str(),
+                 "maxcut|coloring|knapsack|partition|tsp|qubo");
+    }
     else if (arg == "--file") options.file = next("--file");
     else if (arg == "--batch") options.batch = next("--batch");
     else if (arg == "--serve") options.serve = next("--serve");
@@ -418,16 +489,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else if (!arg.empty() && arg[0] == '-') usage(argv[0]);
     else options.file = arg;
-  }
-  if (options.runs == 0) {
-    // 0 runs would divide 0/0 into feasible_rate and report a campaign that
-    // never ran; fail loudly instead.
-    std::fprintf(stderr, "fecim_solve: --runs must be at least 1\n");
-    std::exit(2);
-  }
-  if (options.flips == 0) {
-    std::fprintf(stderr, "fecim_solve: --flips must be at least 1\n");
-    std::exit(2);
   }
   if ((!options.batch.empty()) + (!options.serve.empty()) +
           (!options.file.empty()) >
@@ -455,6 +516,16 @@ Options parse(int argc, char** argv) {
                  "--batch/--serve\n");
     std::exit(2);
   }
+  // The command line's own job; manifest and serve lines are checked by
+  // the same validator as they parse.
+  if (options.batch.empty() && options.serve.empty()) {
+    const auto error =
+        job_error(Job{options.problem, options.file, {}, options});
+    if (!error.empty()) {
+      std::fprintf(stderr, "fecim_solve: %s\n", error.c_str());
+      std::exit(2);
+    }
+  }
   for (const auto run : options.inject_fail)
     if (run >= options.runs) {
       std::fprintf(stderr,
@@ -469,21 +540,7 @@ Options parse(int argc, char** argv) {
                    "(runs = %zu)\n", run, options.runs);
       std::exit(2);
     }
-  if (options.batch.empty() && options.serve.empty()) {
-    const auto error =
-        generated_graph_error(options.problem, options.file, options);
-    if (!error.empty()) {
-      std::fprintf(stderr, "fecim_solve: %s\n", error.c_str());
-      std::exit(2);
-    }
-  }
   return options;
-}
-
-bool is_known_family(const std::string& family) {
-  return family == "maxcut" || family == "coloring" ||
-         family == "knapsack" || family == "partition" || family == "tsp" ||
-         family == "qubo";
 }
 
 core::AnnealerKind kind_from_name(const std::string& name) {
@@ -496,78 +553,58 @@ core::AnnealerKind kind_from_name(const std::string& name) {
   std::exit(2);
 }
 
-/// Build one family's instance, from `file` when given (any family) or the
+/// Build a job's instance, from its file when given (any family) or the
 /// seeded generators otherwise.
-core::ProblemInstance make_family_problem(const std::string& family,
-                                          const std::string& file,
-                                          const std::string& name,
-                                          const Options& options) {
+core::ProblemInstance make_family_problem(const Job& job) {
+  const Options& options = job.options;
+  const std::string& file = job.path;
   const auto seed = options.seed;
-  const std::string instance_name = !name.empty() ? name : file;
-  if (family == "maxcut") {
-    const std::size_t nodes = options.nodes > 0 ? options.nodes : 800;
+  const std::string name = job_name(job);
+  if (job.family == "maxcut") {
     problems::Graph graph =
-        file.empty() ? problems::gset_like_instance(nodes, seed)
+        file.empty() ? problems::gset_like_instance(nodes_of(job), seed)
                      : problems::read_gset_file(file);
-    return problems::make_maxcut_problem(
-        instance_name.empty() ? "generated-" + std::to_string(nodes)
-                              : instance_name,
-        std::move(graph), 48, seed);
+    return problems::make_maxcut_problem(name, std::move(graph), 48, seed);
   }
-  if (family == "coloring") {
-    const std::size_t nodes = options.nodes > 0 ? options.nodes : 16;
-    const double degree = options.degree > 0.0 ? options.degree : 2.5;
+  if (job.family == "coloring") {
     problems::Graph graph =
         file.empty()
-            ? problems::random_graph(nodes, degree,
+            ? problems::random_graph(nodes_of(job), degree_of(job),
                                      problems::WeightScheme::kUnit, seed)
             : problems::read_dimacs_coloring_file(file);
     return problems::make_coloring_problem(
-        instance_name.empty() ? "coloring-" + std::to_string(nodes)
-                              : instance_name,
-        std::move(graph), options.colors,
+        name, std::move(graph), options.colors,
         options.penalty > 0.0 ? options.penalty : 2.0);
   }
-  if (family == "knapsack") {
+  if (job.family == "knapsack") {
     auto instance =
         file.empty()
             ? problems::random_knapsack(options.items, seed, options.capacity)
             : problems::read_knapsack_file(file);
-    return problems::make_knapsack_problem(
-        instance_name.empty() ? "knapsack-" + std::to_string(options.items)
-                              : instance_name,
-        std::move(instance), options.penalty);
+    return problems::make_knapsack_problem(name, std::move(instance),
+                                           options.penalty);
   }
-  if (family == "partition") {
+  if (job.family == "partition") {
     auto numbers =
         file.empty()
             ? problems::random_partition_numbers(options.numbers, seed)
             : problems::read_partition_file(file);
-    return problems::make_partition_problem(
-        instance_name.empty() ? "partition-" + std::to_string(options.numbers)
-                              : instance_name,
-        std::move(numbers));
+    return problems::make_partition_problem(name, std::move(numbers));
   }
-  if (family == "tsp") {
+  if (job.family == "tsp") {
     auto instance = file.empty() ? problems::random_tsp(options.cities, seed)
                                  : problems::read_tsp_file(file);
-    return problems::make_tsp_problem(
-        instance_name.empty() ? "tsp-" + std::to_string(options.cities)
-                              : instance_name,
-        std::move(instance), options.penalty);
+    return problems::make_tsp_problem(name, std::move(instance),
+                                      options.penalty);
   }
-  if (family == "qubo") {
-    const std::size_t nodes = options.nodes > 0 ? options.nodes : 64;
-    const double degree = options.degree > 0.0 ? options.degree : 8.0;
-    auto instance = file.empty() ? problems::random_qubo(nodes, degree, seed)
-                                 : problems::read_qubo_file(file);
-    return problems::make_qubo_problem(
-        instance_name.empty() ? "qubo-" + std::to_string(nodes)
-                              : instance_name,
-        std::move(instance), 24, seed);
+  if (job.family == "qubo") {
+    auto instance =
+        file.empty()
+            ? problems::random_qubo(nodes_of(job), degree_of(job), seed)
+            : problems::read_qubo_file(file);
+    return problems::make_qubo_problem(name, std::move(instance), 24, seed);
   }
-  std::fprintf(stderr, "unknown problem '%s'\n", family.c_str());
-  std::exit(2);
+  throw contract_error("unknown problem family '" + job.family + "'");
 }
 
 std::size_t auto_iterations(const std::string& family,
@@ -602,8 +639,7 @@ struct SolveOutcome {
 
 SolveOutcome solve(const core::ProblemInstance& problem,
                    const Options& options,
-                   const std::shared_ptr<crossbar::ArrayCache>& cache =
-                       nullptr) {
+                   const std::shared_ptr<crossbar::ArrayCache>& cache) {
   const bool constrained =
       problem.family == "coloring" || problem.family == "knapsack" ||
       problem.family == "tsp";
@@ -624,13 +660,13 @@ SolveOutcome solve(const core::ProblemInstance& problem,
   outcome.setup.acceptance_gain =
       options.gain > 0.0 ? options.gain : (constrained ? 4.0 : 16.0);
   if (constrained) outcome.setup.variation = {0.01, 0.02, 0.0, 0.0};
-  outcome.setup.bits = options.bits;
+  outcome.setup.bits = static_cast<int>(options.bits);
   // Tile-partitioned execution: bound the physical tile (0 = monolithic);
   // the engines sweep the tile grid and accumulate partial sums digitally.
   outcome.setup.tiles = crossbar::TileShape{options.tile_rows,
                                             options.tile_cols};
-  // Multi-job modes share one digest-keyed programmed-array cache: jobs
-  // with identical array-defining inputs reuse one ProgrammedArray.
+  // Every job of a process shares one digest-keyed programmed-array cache:
+  // jobs with identical array-defining inputs reuse one ProgrammedArray.
   outcome.setup.array_cache = cache;
   outcome.setup.sb_dt = options.sb_dt;
   outcome.setup.sb_a0 = options.sb_a0;
@@ -650,6 +686,15 @@ SolveOutcome solve(const core::ProblemInstance& problem,
                  : options.algorithm == "sb-discrete"
                      ? core::AnnealerKind::kSbDiscrete
                      : kind_from_name(options.annealer);
+  // An in-situ kind flips --flips distinct spins per iteration; only the
+  // encoded model knows how many it has.
+  if ((outcome.kind == core::AnnealerKind::kThisWork ||
+       outcome.kind == core::AnnealerKind::kThisWorkIdeal) &&
+      options.flips > problem.model->num_flippable())
+    throw contract_error("--flips " + std::to_string(options.flips) +
+                         " exceeds the " +
+                         std::to_string(problem.model->num_flippable()) +
+                         " flippable spins of " + problem.name);
   const auto annealer =
       core::make_annealer(outcome.kind, problem.model, outcome.setup);
 
@@ -735,7 +780,7 @@ void print_report(const core::ProblemInstance& problem,
       break;
   }
   std::printf("annealer   : %s, %zu iterations x %zu runs (%zu threads), "
-              "%sk=%d bits\n",
+              "%sk=%zu bits\n",
               core::annealer_kind_name(outcome.kind),
               outcome.setup.iterations, options.runs, outcome.threads,
               dynamics, options.bits);
@@ -794,28 +839,23 @@ void print_report(const core::ProblemInstance& problem,
 //     <family> <path> [name] [--flag value ...]
 // ---------------------------------------------------------------------------
 
-struct Job {
-  std::string family;
-  std::string path;  ///< empty = generate from the (per-job) seed
-  std::string name;
-  Options options;  ///< process options + per-job overrides
-};
-
-/// Parse the current manifest/serve line into a Job.  Every malformed piece
-/// -- unknown family, stray token, unknown or malformed override -- throws
-/// a contract_error naming "<context>:<line>" via the parser.
-Job parse_job_line(const problems::io::LineParser& parser,
-                   const Options& base,
-                   const std::filesystem::path& base_dir) {
+/// Parse the current manifest/serve line into `job`, piece by piece, so a
+/// line that fails leaves what it parsed for its failed row.  Every
+/// malformed piece -- unknown family, stray token, unknown or malformed
+/// override, a job the validator rejects -- throws a contract_error
+/// naming "<context>:<line>" via the parser.
+void parse_job_line(const problems::io::LineParser& parser,
+                    const Options& base,
+                    const std::filesystem::path& base_dir, Job& job) {
+  job = Job{"-", {}, {}, base};  // family "-" until the line names one
   if (parser.fields() < 2)
     parser.fail("expected '<family> <path> [name] [--flag value ...]'");
-  Job job;
-  job.options = base;
-  job.family = std::string(parser.field(0));
+  const std::string family(parser.field(0));
   // Validate at parse time: a typo'd family must fail with the offending
   // line before any campaign runs, not mid-batch after real work.
-  if (!is_known_family(job.family))
-    parser.fail("unknown problem family '" + job.family + "'");
+  if (!is_known_family(family))
+    parser.fail("unknown problem family '" + family + "'");
+  job.family = family;
   if (parser.field(1) != "-") {
     // Paths resolve relative to the manifest's own directory ("-" keeps
     // the generated-instance path, parameterized by the job's seed/knobs).
@@ -842,11 +882,7 @@ Job parse_job_line(const problems::io::LineParser& parser,
       parser.fail("unknown per-job flag '" + flag + "'");
     i += 2;
   }
-  if (job.options.runs == 0) parser.fail("--runs must be at least 1");
-  if (job.options.flips == 0) parser.fail("--flips must be at least 1");
-  const auto error = generated_graph_error(job.family, job.path, job.options);
-  if (!error.empty()) parser.fail(error);
-  return job;
+  if (const auto error = job_error(job); !error.empty()) parser.fail(error);
 }
 
 /// Manifest mode reads every job up front: a malformed line kills the batch
@@ -854,178 +890,142 @@ Job parse_job_line(const problems::io::LineParser& parser,
 /// which isolates line errors to keep the stream alive.
 std::vector<Job> read_batch_manifest(const std::string& path,
                                      const Options& base) {
-  return problems::io::read_file(
-      path, "batch", [&base](auto&& in, const std::string& context) {
-        problems::io::LineParser parser(in, context);
-        const auto base_dir = std::filesystem::path(context).parent_path();
-        std::vector<Job> jobs;
-        while (parser.next())
-          jobs.push_back(parse_job_line(parser, base, base_dir));
-        if (jobs.empty())
-          throw contract_error("batch: " + context + " lists no instances");
-        return jobs;
-      });
+  const auto text = problems::io::read_file(path, "batch");
+  problems::io::LineParser parser(text.view(), path);
+  const auto base_dir = std::filesystem::path(path).parent_path();
+  std::vector<Job> jobs;
+  while (parser.next())
+    parse_job_line(parser, base, base_dir, jobs.emplace_back());
+  if (jobs.empty())
+    throw contract_error("batch: " + path + " lists no instances");
+  return jobs;
 }
 
-/// Isolation row for a job whose campaign could not run at all (malformed
-/// file, infeasible encode): every result column is NaN/0 and the status
-/// column says why the row carries no numbers.
-void print_csv_failed_row(const std::string& display,
-                          const std::string& family,
-                          const Options& options) {
-  std::printf("%s,%s,%s,%s,%zu,0,0,nan,nan,nan,0.000,0.000,0.000,nan,nan,"
-              "failed\n",
-              display.c_str(), family.c_str(), options.annealer.c_str(),
-              options.algorithm.c_str(), options.runs);
-}
+/// Where the one loop's results go: CSV rows (--csv, and always under
+/// --serve), the human report of the command line's instance, or the
+/// --batch summary table, printed after its last job.
+class Sink {
+ public:
+  explicit Sink(const Options& options)
+      : kind_(options.csv              ? Kind::kCsv
+              : options.batch.empty() ? Kind::kReport
+                                      : Kind::kTable),
+        batch_(options.batch),
+        table_({"instance", "family", "spins", "best", "mean", "reference",
+                "feas%", "succ%", "time/run", "status"}) {
+    if (kind_ == Kind::kCsv) print_csv_header();
+  }
 
-/// Final cache report for the multi-job modes.  "N built" is the count of
-/// actual array programmings -- the duplicate-manifest smoke in
-/// tools/check.sh asserts on it.
-void print_cache_stats(const crossbar::ArrayCache& cache) {
-  const auto stats = cache.stats();
+  void result(const core::ProblemInstance& problem,
+              const SolveOutcome& outcome, const Options& options) {
+    switch (kind_) {
+      case Kind::kCsv:
+        print_csv_row(problem, outcome, options);
+        break;
+      case Kind::kReport:
+        print_report(problem, outcome, options);
+        break;
+      case Kind::kTable:
+        table_.row()
+            .add(problem.name)
+            .add(problem.family)
+            .add(problem.model->num_spins())
+            .add(outcome.result.best_objective(problem.sense), 4)
+            .add(safe_mean_objective(outcome.result), 4)
+            .add(problem.reference_objective, 4)
+            .add(outcome.result.feasible_rate * 100.0, 0)
+            .add(outcome.result.success_rate * 100.0, 0)
+            .add(outcome.result.time.mean(), 6)
+            .add("ok");
+        break;
+    }
+  }
+
+  /// The one failed-row writer: a job with no result gets a CSV or table
+  /// row naming it as far as its line parsed -- name, family and, in CSV,
+  /// annealer, algorithm, runs and --iterations (0 = auto) -- with every
+  /// result column NaN/0 or "-"; the report prints none.
+  void failed(const Job& job) {
+    const Options& options = job.options;
+    if (kind_ == Kind::kCsv)
+      std::printf("%s,%s,%s,%s,%zu,%zu,0,nan,nan,nan,0.000,0.000,0.000,nan,"
+                  "nan,failed\n",
+                  job_name(job).c_str(), job.family.c_str(),
+                  options.annealer.c_str(), options.algorithm.c_str(),
+                  options.runs, options.iterations);
+    if (kind_ != Kind::kTable) return;
+    table_.row().add(job_name(job)).add(job.family);
+    for (int column = 0; column < 7; ++column) table_.add("-");
+    table_.add("failed");
+  }
+
+  void finish(std::size_t jobs) {
+    if (kind_ != Kind::kTable) return;
+    std::printf("batch      : %zu instances from %s\n", jobs, batch_.c_str());
+    std::printf("%s\n", table_.str().c_str());
+  }
+
+ private:
+  enum class Kind { kCsv, kReport, kTable };
+  Kind kind_;
+  std::string batch_;
+  util::Table table_;
+};
+
+/// The one job loop.  `next` fills in the next job and returns false at
+/// the end; a --serve line that does not parse throws after filling in
+/// what it did parse.  Every mode runs its jobs here, on the process-wide
+/// persistent worker pool (util::parallel_for) and one programmed-array
+/// cache, so thread spawn and array programming are paid per distinct
+/// input, not per job.  A job that fails -- its line, its instance, its
+/// campaign -- gets a stderr diagnostic and a failed row; a campaign that
+/// completes no run keeps its row but fails too, having no statistics to
+/// stand on.  The other jobs still run, and the exit code reports the
+/// damage.  stdout is flushed after every job, so a --serve pipeline sees
+/// each row as it lands.
+int run_jobs(const std::function<bool(Job&)>& next, const Options& options) {
+  const auto cache = std::make_shared<crossbar::ArrayCache>();
+  Sink sink(options);
+  std::fflush(stdout);
+  std::size_t ok_jobs = 0;
+  std::size_t failed_jobs = 0;
+  const auto fail = [&failed_jobs](const Job& job, const std::string& why) {
+    ++failed_jobs;
+    std::fprintf(stderr, "fecim_solve: %s [%s]: %s\n", job_name(job).c_str(),
+                 job.family.c_str(), why.c_str());
+  };
+  for (;;) {
+    Job job;
+    try {
+      if (!next(job)) break;
+      const auto problem = make_family_problem(job);
+      const auto outcome = solve(problem, job.options, cache);
+      sink.result(problem, outcome, job.options);
+      if (outcome.result.completed > 0)
+        ++ok_jobs;
+      else
+        fail(job, "no run completed (" + std::to_string(job.options.runs) +
+                      " attempted)");
+    } catch (const std::exception& error) {
+      fail(job, error.what());
+      sink.failed(job);
+    }
+    std::fflush(stdout);
+  }
+  sink.finish(ok_jobs + failed_jobs);
+  // "N built" counts actual array programmings; tools/check.sh's
+  // duplicate-manifest smoke asserts on it.
+  const auto stats = cache->stats();
   std::fprintf(stderr,
                "fecim_solve: array cache: %zu built, %zu hits, "
                "%zu evictions, %zu resident (%.1f MiB), %.3f s programming\n",
                stats.misses, stats.hits, stats.evictions, stats.entries,
                static_cast<double>(stats.bytes) / (1024.0 * 1024.0),
                stats.build_seconds);
-}
-
-int run_batch(const Options& options) {
-  const auto jobs = read_batch_manifest(options.batch, options);
-  // All campaigns in the batch share the process-wide persistent worker
-  // pool (util::parallel_for) and one programmed-array cache, so thread
-  // spawn and array programming costs are paid per distinct input, not per
-  // manifest line.
-  const auto cache = std::make_shared<crossbar::ArrayCache>();
-  if (options.csv) print_csv_header();
-  util::Table table({"instance", "family", "spins", "best", "mean",
-                     "reference", "feas%", "succ%", "time/run", "status"});
-  std::size_t failed_jobs = 0;
-  for (const auto& job : jobs) {
-    try {
-      const auto problem =
-          make_family_problem(job.family, job.path, job.name, job.options);
-      const auto outcome = solve(problem, job.options, cache);
-      if (options.csv) {
-        print_csv_row(problem, outcome, job.options);
-        continue;
-      }
-      table.row()
-          .add(problem.name)
-          .add(problem.family)
-          .add(problem.model->num_spins())
-          .add(outcome.result.best_objective(problem.sense), 4)
-          .add(safe_mean_objective(outcome.result), 4)
-          .add(problem.reference_objective, 4)
-          .add(outcome.result.feasible_rate * 100.0, 0)
-          .add(outcome.result.success_rate * 100.0, 0)
-          .add(outcome.result.time.mean(), 6)
-          .add("ok");
-    } catch (const std::exception& error) {
-      // Batch isolation: one malformed instance is a failed row plus a
-      // stderr diagnostic, not a dead batch -- the remaining instances
-      // still run, and the final exit code reports the damage.
-      ++failed_jobs;
-      const std::string display = !job.name.empty() ? job.name : job.path;
-      std::fprintf(stderr, "fecim_solve: %s [%s]: %s\n", display.c_str(),
-                   job.family.c_str(), error.what());
-      if (options.csv) {
-        print_csv_failed_row(display, job.family, job.options);
-        continue;
-      }
-      table.row()
-          .add(display)
-          .add(job.family)
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("-")
-          .add("failed");
-    }
-  }
-  if (!options.csv) {
-    std::printf("batch      : %zu instances from %s\n", jobs.size(),
-                options.batch.c_str());
-    std::printf("%s\n", table.str().c_str());
-  }
-  print_cache_stats(*cache);
-  if (failed_jobs > 0) {
-    std::fprintf(stderr, "fecim_solve: %zu of %zu batch instances failed\n",
-                 failed_jobs, jobs.size());
-    return 1;
-  }
-  return 0;
-}
-
-/// Persistent serve loop: jobs arrive one line at a time (stdin or a jobs
-/// file), each executes immediately against the warm process -- live
-/// thread pool, resident programmed-array cache -- and its CSV row is
-/// flushed so a pipeline consumer sees results as they land.  A malformed
-/// line or failed campaign yields a failed row and keeps serving.
-int run_serve(const Options& options) {
-  std::ifstream file_in;
-  std::istream* in = &std::cin;
-  std::string context = "serve";
-  std::filesystem::path base_dir;  // stdin jobs resolve against the cwd
-  if (options.serve != "-") {
-    file_in.open(options.serve);
-    if (!file_in) {
-      std::fprintf(stderr, "fecim_solve: serve: cannot open %s\n",
-                   options.serve.c_str());
-      return 1;
-    }
-    in = &file_in;
-    context = options.serve;
-    base_dir = std::filesystem::path(options.serve).parent_path();
-  }
-
-  const auto cache = std::make_shared<crossbar::ArrayCache>();
-  print_csv_header();
-  std::fflush(stdout);
-
-  problems::io::LineParser parser(*in, context);
-  std::size_t jobs = 0;
-  std::size_t failed_jobs = 0;
-  while (parser.next()) {
-    ++jobs;
-    // Best-effort identity for the failure row, refined once the line
-    // parses: a job that dies before parse_job_line returns still gets a
-    // stream row naming whatever the line did say.
-    std::string display(parser.field(0));
-    std::string family = "-";
-    if (parser.fields() >= 2) display = std::string(parser.field(1));
-    try {
-      const Job job = parse_job_line(parser, options, base_dir);
-      family = job.family;
-      if (!job.name.empty())
-        display = job.name;
-      else if (!job.path.empty())
-        display = job.path;
-      const auto problem =
-          make_family_problem(job.family, job.path, job.name, job.options);
-      const auto outcome = solve(problem, job.options, cache);
-      print_csv_row(problem, outcome, job.options);
-    } catch (const std::exception& error) {
-      ++failed_jobs;
-      std::fprintf(stderr, "fecim_solve: %s [%s]: %s\n", display.c_str(),
-                   family.c_str(), error.what());
-      std::fflush(stderr);
-      print_csv_failed_row(display, family, options);
-    }
-    std::fflush(stdout);
-  }
-  print_cache_stats(*cache);
-  if (failed_jobs > 0) {
-    std::fprintf(stderr, "fecim_solve: %zu of %zu served jobs failed\n",
-                 failed_jobs, jobs);
-    return 1;
-  }
-  return 0;
+  if (failed_jobs == 0) return 0;
+  std::fprintf(stderr, "fecim_solve: %zu of %zu jobs failed\n", failed_jobs,
+               ok_jobs + failed_jobs);
+  return 1;
 }
 
 }  // namespace
@@ -1033,35 +1033,47 @@ int run_serve(const Options& options) {
 int main(int argc, char** argv) {
   const Options options = parse(argc, argv);
   try {
-    if (!options.batch.empty()) return run_batch(options);
-    if (!options.serve.empty()) return run_serve(options);
-
-    const auto problem =
-        make_family_problem(options.problem, options.file, "", options);
-    const auto outcome = solve(problem, options);
-    if (options.csv) {
-      print_csv_header();
-      print_csv_row(problem, outcome, options);
-    } else {
-      print_report(problem, outcome, options);
+    if (options.serve.empty()) {
+      // The command line's one job, or a manifest parsed in full before
+      // its first job runs, so one malformed line stops the batch first.
+      auto jobs = options.batch.empty()
+                      ? std::vector<Job>{Job{options.problem, options.file,
+                                             {}, options}}
+                      : read_batch_manifest(options.batch, options);
+      std::size_t taken = 0;
+      return run_jobs(
+          [&](Job& job) {
+            if (taken == jobs.size()) return false;
+            job = std::move(jobs[taken++]);
+            return true;
+          },
+          options);
     }
-    if (outcome.result.completed == 0) {
-      // A campaign in which not a single run finished has no statistics to
-      // stand on; degrade gracefully in the output but fail the process.
-      std::fprintf(stderr, "fecim_solve: no run completed (%zu attempted)\n",
-                   options.runs);
-      return 1;
+    // The --serve stream, parsed one line at a time as it arrives, so a
+    // malformed line fails alone and the stream goes on.  Paths resolve
+    // against the jobs file's directory (stdin: the cwd).
+    const bool from_stdin = options.serve == "-";
+    std::ifstream file;
+    std::filesystem::path base_dir;
+    if (!from_stdin) {
+      file.open(options.serve);
+      if (!file) throw contract_error("serve: cannot open " + options.serve);
+      base_dir = std::filesystem::path(options.serve).parent_path();
     }
-  } catch (const contract_error& error) {
-    // Parser and contract diagnostics (malformed files name the offending
-    // line) exit cleanly instead of aborting through std::terminate.
-    std::fprintf(stderr, "fecim_solve: %s\n", error.what());
-    return 1;
+    problems::io::LineParser parser(from_stdin ? std::cin : file,
+                                    from_stdin ? "serve" : options.serve);
+    return run_jobs(
+        [&](Job& job) {
+          if (!parser.next()) return false;
+          parse_job_line(parser, options, base_dir, job);
+          return true;
+        },
+        options);
   } catch (const std::exception& error) {
-    // Anything else (allocation failure on an oversized instance,
-    // filesystem errors) still deserves a diagnostic, not a raw terminate.
+    // A manifest that does not parse or a --serve file that cannot be
+    // opened: a clean diagnostic (malformed lines name the offending
+    // line), not a raw terminate.
     std::fprintf(stderr, "fecim_solve: %s\n", error.what());
     return 1;
   }
-  return 0;
 }
